@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .partitions import Partition, mex_sequence
+from .partitions import _SIZE, Partition, _line, _require_int, _tokens, mex_sequence
 
 __all__ = [
     "ColoredPartition",
@@ -37,7 +37,8 @@ __all__ = [
     "is_member",
 ]
 
-FAMILY_KINDS = ("p", "pbar", "pmex", "obar", "pe", "po2")
+_OVERPARTITION_LINE = _line(f"~?{_SIZE}")
+_COLORED_LINE = _line(f"{_SIZE}_[12]")
 
 
 class Overpartition:
@@ -89,23 +90,15 @@ class Overpartition:
     @classmethod
     def from_text(cls, text: str) -> "Overpartition":
         """Parse the canonical form; token order must match print order."""
-        stripped = text.strip()
-        if stripped == "-":
-            return cls()
-        pairs: list[tuple[int, bool]] = []
-        for token in stripped.split():
-            over = token.startswith("~")
-            digits = token[1:] if over else token
-            if not digits.isdigit() or int(digits) < 1:
-                raise ValueError(f"bad overpartition token {token!r}")
-            pairs.append((int(digits), over))
-        if not pairs:
-            raise ValueError("empty overpartition must be written as '-'")
+        pairs = [
+            (int(token[1:]), True) if token[0] == "~" else (int(token), False)
+            for token in _tokens(text, _OVERPARTITION_LINE, "overpartition")
+        ]
         for (s1, o1), (s2, o2) in zip(pairs, pairs[1:]):
             if s1 < s2:
-                raise ValueError(f"sizes must be weakly decreasing: {stripped!r}")
+                raise ValueError(f"sizes must be weakly decreasing: {text.strip()!r}")
             if s1 == s2 and not o1 and o2:
-                raise ValueError(f"overlined copy must precede plain: {stripped!r}")
+                raise ValueError(f"overlined copy must precede plain: {text.strip()!r}")
         return cls(
             (s for s, over in pairs if over),
             (s for s, over in pairs if not over),
@@ -118,11 +111,10 @@ class ColoredPartition:
     __slots__ = ("parts", "r")
 
     def __init__(self, parts: Iterable[tuple[int, int]] = (), r: int = 2):
-        if not isinstance(r, int) or r < 1 or r % 2:
-            raise ValueError(f"color threshold r must be a positive even integer, got {r!r}")
+        Family("po2", r)
         ordered = tuple(sorted(parts, key=lambda sc: (-sc[0], sc[1])))
         for size, color in ordered:
-            if not isinstance(size, int) or size < 1 or size % 2 == 0:
+            if not isinstance(size, int) or isinstance(size, bool) or size < 1 or size % 2 == 0:
                 raise ValueError(f"part sizes must be odd positive integers, got {size!r}")
             if color not in (1, 2):
                 raise ValueError(f"colors must be 1 or 2, got {color!r}")
@@ -156,43 +148,49 @@ class ColoredPartition:
 
     @classmethod
     def from_text(cls, text: str, r: int) -> "ColoredPartition":
-        stripped = text.strip()
-        if stripped == "-":
-            return cls((), r)
-        pairs: list[tuple[int, int]] = []
-        for token in stripped.split():
-            size_str, _, color_str = token.partition("_")
-            if not size_str.isdigit() or color_str not in ("1", "2"):
-                raise ValueError(f"bad colored token {token!r}")
-            pairs.append((int(size_str), int(color_str)))
-        if not pairs:
-            raise ValueError("empty colored partition must be written as '-'")
+        pairs = [
+            (int(token[:-2]), int(token[-1]))
+            for token in _tokens(text, _COLORED_LINE, "colored partition")
+        ]
         for (s1, c1), (s2, c2) in zip(pairs, pairs[1:]):
             if s1 < s2 or (s1 == s2 and c1 > c2):
-                raise ValueError(f"tokens must be in canonical order: {stripped!r}")
+                raise ValueError(f"tokens must be in canonical order: {text.strip()!r}")
         return cls(pairs, r)
+
+
+# Member type of each family kind, in the order the command line lists them.
+MEMBER_TYPES = {
+    "p": Partition, "pbar": Overpartition,
+    "pmex": Partition, "obar": Overpartition,
+    "pe": Partition, "po2": ColoredPartition,
+}
+FAMILY_KINDS = tuple(MEMBER_TYPES)
 
 
 @dataclass(frozen=True)
 class Family:
-    """Identifier for one of the named counting families."""
+    """Identifier for one of the named counting families.
+
+    The one place that knows which kinds take ``r`` and which need it odd
+    (``pe``) or even (``po2``); a bijection's r rule is that of its domain
+    and codomain families.
+    """
 
     kind: str
     r: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in MEMBER_TYPES:
             raise ValueError(f"unknown family {self.kind!r}")
         if self.kind in ("p", "pbar"):
             if self.r is not None:
                 raise ValueError(f"family {self.kind!r} takes no parameter r")
             return
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
-            raise ValueError(f"family {self.kind!r} needs an integer r >= 1")
+        _require_int(self.r, 1, f"r of family {self.kind!r}")
         if self.kind == "pe" and self.r % 2 == 0:
-            raise ValueError("family 'pe' needs odd r")
+            raise ValueError(f"family 'pe' needs odd r, got {self.r}")
         if self.kind == "po2" and self.r % 2 == 1:
-            raise ValueError("family 'po2' needs even r")
+            raise ValueError(f"family 'po2' needs even r, got {self.r}")
 
 
 def _second_color_above(parts: Iterable[tuple[int, int]], r: int) -> bool:
@@ -202,21 +200,17 @@ def _second_color_above(parts: Iterable[tuple[int, int]], r: int) -> bool:
 def is_member(family: Family, obj: object) -> bool:
     """Membership predicate for every family; enumeration filters through this."""
     kind, r = family.kind, family.r
-    if kind == "p":
-        return isinstance(obj, Partition)
-    if kind == "pbar":
-        return isinstance(obj, Overpartition)
+    if not isinstance(obj, MEMBER_TYPES[kind]):
+        return False
     if kind == "pmex":
-        return isinstance(obj, Partition) and mex_sequence(obj).at_least(r)
+        return mex_sequence(obj).at_least(r)
     if kind == "obar":
-        return isinstance(obj, Overpartition) and all(
-            x > r and (x - r - 1) % 2 == 0 for x in obj.plain
-        )
+        return all(x > r and (x - r - 1) % 2 == 0 for x in obj.plain)
     if kind == "pe":
-        return isinstance(obj, Partition) and not any(
-            x % 2 == 0 and x < r for x in obj.parts
-        )
-    return isinstance(obj, ColoredPartition) and _second_color_above(obj.parts, r)
+        return not any(x % 2 == 0 and x < r for x in obj.parts)
+    if kind == "po2":
+        return _second_color_above(obj.parts, r)
+    return True
 
 
 def _descending_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -277,8 +271,7 @@ def enumerate_family(family: Family, n: int):
     sizes, then on the overline/color pattern.  Repeated calls with equal
     arguments return identical sequences.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"weight must be a nonnegative integer, got {n!r}")
+    _require_int(n, 0, "weight")
     if family.kind == "po2":
         return tuple(
             ColoredPartition(parts, family.r)

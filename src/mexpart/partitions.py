@@ -7,6 +7,7 @@ and every operation is a pure function, so concurrent use is safe.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -69,22 +70,42 @@ class Partition:
     @classmethod
     def from_text(cls, text: str) -> "Partition":
         """Parse the canonical form; rejects anything not in the grammar."""
-        stripped = text.strip()
-        if stripped == "-":
-            return cls()
-        parts = []
-        for token in stripped.split():
-            if not token.isdigit():
-                raise ValueError(f"bad partition token {token!r}")
-            value = int(token)
-            if value < 1:
-                raise ValueError(f"bad partition token {token!r}")
-            parts.append(value)
-        if not parts:
-            raise ValueError("empty partition must be written as '-'")
+        parts = [int(token) for token in _tokens(text, _PARTITION_LINE, "partition")]
         if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {stripped!r}")
+            raise ValueError(f"parts must be weakly decreasing: {text.strip()!r}")
         return cls(parts)
+
+
+def _require_int(value, least: int, name: str) -> int:
+    """``value`` itself if it is an integer (not a bool) >= ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+# The one size rule of the textual grammar: ASCII digits, no leading zero.
+_SIZE = "[1-9][0-9]*"
+
+
+def _line(token: str) -> re.Pattern:
+    """A line of ``token``s separated by single ASCII spaces."""
+    return re.compile(f"{token}(?: {token})*")
+
+
+_PARTITION_LINE = _line(_SIZE)
+
+
+def _tokens(text: str, line: re.Pattern, what: str) -> list[str]:
+    """The tokens of one stripped line that matches ``line``; none for the
+    empty object ``-``."""
+    stripped = text.strip()
+    if stripped == "-":
+        return []
+    if not stripped:
+        raise ValueError(f"empty {what} must be written as '-'")
+    if line.fullmatch(stripped) is None:
+        raise ValueError(f"not a {what}: {stripped!r}")
+    return stripped.split(" ")
 
 
 class _InfiniteLength:

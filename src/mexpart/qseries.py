@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .partitions import _require_int
+
 __all__ = [
     "DEFAULT_DEGREE",
     "TruncatedSeries",
@@ -63,11 +65,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(degree={self.degree}, [{head}{tail}])"
 
 
-def _check_degree(degree: int) -> None:
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the common degree."""
     if a.degree != b.degree:
@@ -87,9 +84,9 @@ def poch_inv(a: int, step: int, degree: int) -> TruncatedSeries:
     Coefficient n counts partitions of n into parts congruent to a modulo
     step that are at least a.
     """
-    if a < 1 or step < 1:
-        raise ValueError("a and step must be positive")
-    _check_degree(degree)
+    _require_int(a, 1, "a")
+    _require_int(step, 1, "step")
+    _require_int(degree, 0, "degree")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     e = a
@@ -106,9 +103,9 @@ def poch_distinct(a: int, step: int, degree: int) -> TruncatedSeries:
     Coefficient n counts partitions of n into distinct parts congruent to a
     modulo step.
     """
-    if a < 1 or step < 1:
-        raise ValueError("a and step must be positive")
-    _check_degree(degree)
+    _require_int(a, 1, "a")
+    _require_int(step, 1, "step")
+    _require_int(degree, 0, "degree")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     e = a
@@ -125,8 +122,7 @@ def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
     Coefficient n predicts the count of the ``pmex`` family at weight n,
     independently of any enumeration.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive integer, got {r!r}")
+    _require_int(r, 1, "r")
     return series_mul(poch_inv(1, 2, degree), poch_inv(r + 1, 2, degree))
 
 

@@ -1,9 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mexpart import Check, VerificationReport
+from mexpart import Check, VerificationReport, bijections, cli
 from mexpart.cli import run
+from mexpart.families import FAMILY_KINDS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_count_po2():
@@ -40,6 +48,15 @@ def test_map_even_parses_colored_input():
 
 def test_map_malformed_line_names_the_line():
     code, out, err = run(["map", "--bijection", "t5", "--r", "2"], "7\nbogus\n")
+    assert code == 2
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "bijection,line", [("t5", "01 1"), ("t5", "3  1"), ("t5inv", "~01"), ("even", "05_1")]
+)
+def test_map_rejects_non_canonical_sizes(bijection, line):
+    code, out, err = run(["map", "--bijection", bijection, "--r", "2"], f"-\n{line}\n")
     assert code == 2
     assert "line 2" in err
 
@@ -165,3 +182,30 @@ def test_usage_errors_exit_two(argv):
     code, _, err = run(argv)
     assert code == 2
     assert err
+
+
+def _choices(command, option):
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in commands.choices[command]._actions if option in a.option_strings)
+
+
+def test_choices_come_from_the_registries():
+    assert set(_choices("map", "--bijection")) == set(bijections.MAPS)
+    assert tuple(_choices("count", "--family")) == FAMILY_KINDS
+    assert tuple(_choices("enumerate", "--family")) == FAMILY_KINDS
+
+
+def test_closed_stdout_ends_quietly():
+    # `mexpart enumerate --family pbar --n 27 | head -1`: the reader leaves
+    # after one line of about 1 MB of output
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mexpart", "enumerate", "--family", "pbar", "--n", "27"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"27\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

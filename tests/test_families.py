@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from mexpart import (
     ColoredPartition,
@@ -10,6 +11,21 @@ from mexpart import (
     is_member,
     mex_sequence,
 )
+
+
+overpartitions = st.builds(
+    Overpartition,
+    st.sets(st.integers(min_value=1, max_value=30), max_size=8),
+    st.lists(st.integers(min_value=1, max_value=30), max_size=8),
+)
+
+
+@st.composite
+def colored_partitions(draw):
+    r = draw(st.sampled_from([2, 4, 6]))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=12).map(lambda k: 2 * k + 1), max_size=10))
+    colors = [draw(st.sampled_from([1, 2])) if size > r else 1 for size in sizes]
+    return ColoredPartition(zip(sizes, colors), r)
 
 
 def canonical_key(obj):
@@ -49,8 +65,13 @@ class TestOverpartitionType:
         for text in ("-", "7", "~7", "~6 ~4 ~3 3 3 ~2 ~1", "~2 2", "5 ~2"):
             assert Overpartition.from_text(text).text() == text
 
+    @given(overpartitions)
+    def test_text_parses_back(self, op):
+        assert Overpartition.from_text(op.text()) == op
+
     @pytest.mark.parametrize(
-        "bad", ["1 2", "2 ~2", "~x", "~0", "3 ~3 ~3", "", "~"]
+        "bad",
+        ["1 2", "2 ~2", "~x", "~0", "3 ~3 ~3", "", "~", "~01", "01 1", "~\u0663", "~3\xa01", "~3  1"],
     )
     def test_from_text_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -68,6 +89,8 @@ class TestColoredPartitionType:
             ColoredPartition([(4, 1)], 2)
         with pytest.raises(ValueError):
             ColoredPartition([(3, 3)], 2)
+        with pytest.raises(ValueError):
+            ColoredPartition([(True, 1)], 2)
 
     def test_second_color_needs_large_size(self):
         with pytest.raises(ValueError):
@@ -84,7 +107,14 @@ class TestColoredPartitionType:
         assert ColoredPartition.from_text("5_2 1_1", 2).parts == ((5, 2), (1, 1))
         assert ColoredPartition.from_text("-", 4) == ColoredPartition((), 4)
 
-    @pytest.mark.parametrize("bad", ["5_3", "4_1", "1_2", "3_2 3_1", "1_1 3_1", "x_1"])
+    @given(colored_partitions())
+    def test_text_parses_back(self, colored):
+        assert ColoredPartition.from_text(colored.text(), colored.r) == colored
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["5_3", "4_1", "1_2", "3_2 3_1", "1_1 3_1", "x_1", "05_1", "\u0663_1", "3_1\xa01_1", "3_1  1_1"],
+    )
     def test_from_text_rejects(self, bad):
         with pytest.raises(ValueError):
             ColoredPartition.from_text(bad, 2)

@@ -1,5 +1,6 @@
 import pytest
 
+from mexpart import Overpartition, bijections
 from mexpart import (
     Check,
     VerificationReport,
@@ -60,6 +61,8 @@ class TestVerifyCounts:
             verify_counts(-1, 1)
         with pytest.raises(ValueError):
             verify_counts(5, 0)
+        with pytest.raises(ValueError, match="max_n"):
+            verify_counts(2.5, 1)
 
     def test_row_order_is_deterministic(self):
         assert verify_counts(5, 3).checks == verify_counts(5, 3).checks
@@ -79,6 +82,27 @@ class TestVerifyRoundtrips:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             verify_roundtrips(5, 0)
+        with pytest.raises(ValueError):
+            verify_roundtrips(True, 1)
+
+    def test_every_map_is_round_tripped_in_order(self):
+        # two checks per map: t5, t5inv, then the pair for the parity of r
+        report = verify_roundtrips(3, 4)
+        expected = []
+        for n in range(4):
+            for r in range(1, 5):
+                pair = ("odd", "oddinv") if r % 2 else ("even", "eveninv")
+                for name in ("t5", "t5inv", *pair):
+                    for check in ("images in codomain", "inverse returns source"):
+                        expected.append((f"{name}: {check}", f"n={n} r={r}"))
+        assert [(c.name, c.params) for c in report.checks] == expected
+        assert report.overall
+
+    def test_reads_the_registry(self, monkeypatch):
+        monkeypatch.setitem(bijections.MAPS, "oddinv", lambda op, r: Overpartition())
+        report = verify_roundtrips(4, 3)
+        assert not report.overall
+        assert {c.name.split(":")[0] for c in report.failures()} == {"odd", "oddinv"}
 
 
 class TestTables:

@@ -50,7 +50,14 @@ class TestPartitionType:
         assert Partition.from_text("-") == Partition()
         assert Partition.from_text("  3 3 ") == Partition([3, 3])
 
-    @pytest.mark.parametrize("bad", ["1 2", "0", "3 0", "x", "", "3,2", "-1"])
+    @given(partitions)
+    def test_text_parses_back(self, p):
+        assert Partition.from_text(p.text()) == p
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1 2", "0", "3 0", "x", "", "3,2", "-1", "01 1", "\u0663 1", "3\xa01", "3  1", "3\t1"],
+    )
     def test_from_text_rejects(self, bad):
         with pytest.raises(ValueError):
             Partition.from_text(bad)

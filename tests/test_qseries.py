@@ -107,6 +107,8 @@ class TestPochhammer:
             poch_distinct(1, 0, 5)
         with pytest.raises(ValueError):
             poch_inv(1, 1, -1)
+        with pytest.raises(ValueError):
+            poch_inv(1.5, 2, 10)
 
 
 class TestGfPmex:
