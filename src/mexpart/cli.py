@@ -18,6 +18,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Iterable
@@ -26,13 +27,14 @@ from . import oracle
 from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
 from .families import FAMILY_KINDS, MEMBER_TYPES, ColoredPartition, Family, Overpartition
-from .families import count_family, enumerate_family
-from .partitions import Partition
+from .families import _members, count_family
+from .partitions import _SIZE, Partition
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
 __all__ = ["main", "run"]
 
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
+_DEGREE = re.compile(f"0|{_SIZE}")
 # Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
 # buffer, the stages of `enumerate | map | map` sharing one CPU wake each
 # other so often that the chain took 18% longer than with 64 KiB (perfbench
@@ -115,13 +117,12 @@ def _default_degree() -> int:
     raw = os.environ.get(DEGREE_ENV_VAR)
     if raw is None:
         return DEFAULT_DEGREE
-    try:
-        degree = int(raw)
-    except ValueError:
-        raise ValueError(f"{DEGREE_ENV_VAR} must be a decimal integer, got {raw!r}") from None
-    if degree < 0:
-        raise ValueError(f"{DEGREE_ENV_VAR} must be nonnegative, got {degree}")
-    return degree
+    if _DEGREE.fullmatch(raw) is None:
+        raise ValueError(
+            f"{DEGREE_ENV_VAR} must be a nonnegative integer in ASCII digits"
+            f" without a leading zero, got {raw!r}"
+        )
+    return int(raw)
 
 
 def _cmd_count(args, stdin) -> int:
@@ -130,7 +131,8 @@ def _cmd_count(args, stdin) -> int:
 
 
 def _cmd_enumerate(args, stdin) -> int:
-    for obj in enumerate_family(Family(args.family, args.r), args.n):
+    # lazily, so the first member is printed before the last is built
+    for obj in _members(Family(args.family, args.r), args.n):
         _emit(obj, args.format)
     return 0
 

@@ -12,11 +12,21 @@ names the command line uses:
 ``po2``     odd-part partitions, two colors allowed on sizes above r (r even)
 ==========  =============================================================
 
-Enumeration generates the unrestricted base family and filters it through
-:func:`is_member`, so the membership predicates are the single source of
-truth.  The fixed enumeration order is descending lexicographic on the part
-sizes, with ties broken by the overline/color pattern (plain before
-overlined, first color before second).
+Enumeration builds each family by construction, not by filtering a larger
+one: a walk over partitions in descending lexicographic order uses only the
+sizes the family allows (each size that must be overlined at most once),
+and each partition it yields fans out into its admissible overline or color
+patterns.  ``pmex`` alone is a filter over all partitions through
+:func:`is_member`.  The membership predicates stay the definition of every
+family: the tests check each generator against the unrestricted base family
+filtered through :func:`is_member`.  Generators wrap their already canonical
+output with the private ``_trusted`` constructors, which skip the sorting
+and checks of the public ones.
+
+The fixed enumeration order is descending lexicographic on the part sizes,
+with ties broken by the overline/color pattern (plain before overlined,
+first color before second).  :func:`enumerate_family` returns a tuple;
+the command line streams from the same generators.
 """
 
 from __future__ import annotations
@@ -56,6 +66,14 @@ class Overpartition:
             raise ValueError("overlined parts must be distinct")
         self.overlined: tuple[int, ...] = over
         self.plain: tuple[int, ...] = rest
+
+    @classmethod
+    def _trusted(cls, overlined: tuple[int, ...], plain: tuple[int, ...]) -> "Overpartition":
+        """Wrap two descending tuples as is, skipping sort and checks."""
+        obj = object.__new__(cls)
+        obj.overlined = overlined
+        obj.plain = plain
+        return obj
 
     @property
     def weight(self) -> int:
@@ -116,12 +134,21 @@ class ColoredPartition:
         for size, color in ordered:
             if not isinstance(size, int) or isinstance(size, bool) or size < 1 or size % 2 == 0:
                 raise ValueError(f"part sizes must be odd positive integers, got {size!r}")
-            if color not in (1, 2):
+            if not isinstance(color, int) or isinstance(color, bool) or color not in (1, 2):
                 raise ValueError(f"colors must be 1 or 2, got {color!r}")
             if color == 2 and size <= r:
                 raise ValueError(f"second color needs size > {r}, got {size}")
         self.parts: tuple[tuple[int, int], ...] = ordered
         self.r = r
+
+    @classmethod
+    def _trusted(cls, parts: tuple[tuple[int, int], ...], r: int) -> "ColoredPartition":
+        """Wrap canonically ordered parts as is, skipping sort and checks
+        (``r`` too)."""
+        obj = object.__new__(cls)
+        obj.parts = parts
+        obj.r = r
+        return obj
 
     @property
     def weight(self) -> int:
@@ -193,12 +220,9 @@ class Family:
             raise ValueError(f"family 'po2' needs even r, got {self.r}")
 
 
-def _second_color_above(parts: Iterable[tuple[int, int]], r: int) -> bool:
-    return all(color == 1 or size > r for size, color in parts)
-
-
 def is_member(family: Family, obj: object) -> bool:
-    """Membership predicate for every family; enumeration filters through this."""
+    """Membership predicate for every family: the definition each generator
+    below must agree with."""
     kind, r = family.kind, family.r
     if not isinstance(obj, MEMBER_TYPES[kind]):
         return False
@@ -209,30 +233,49 @@ def is_member(family: Family, obj: object) -> bool:
     if kind == "pe":
         return not any(x % 2 == 0 and x < r for x in obj.parts)
     if kind == "po2":
-        return _second_color_above(obj.parts, r)
+        return all(color == 1 or size > r for size, color in obj.parts)
     return True
 
 
-def _descending_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _walk(n: int, limit: int, skip, once) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Partitions of ``n`` into parts ``<= limit``, with no size in ``skip``
+    and each size in ``once`` at most once, as ``(size, multiplicity)``
+    blocks, sizes descending.
+
+    The largest size comes first and, for it, the most copies first, which
+    is descending lexicographic order on the parts (Knuth, TAOCP 4A,
+    7.2.1.4).
+    """
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_parts(n - first, first):
-            yield (first,) + rest
+    for size in range(min(n, limit), 0, -1):
+        if size in skip:
+            continue
+        for mult in range(1 if size in once else n // size, 0, -1):
+            for rest in _walk(n - mult * size, size - 1, skip, once):
+                yield ((size, mult),) + rest
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(Partition(parts) for parts in _descending_parts(n, n))
+def _plain(n: int, skip) -> Iterator[Partition]:
+    """Partitions of ``n`` with no size in ``skip``, in canonical order."""
+    for blocks in _walk(n, n, skip, ()):
+        parts = ()
+        for size, mult in blocks:
+            parts += (size,) * mult
+        yield Partition._trusted(parts)
 
 
 @lru_cache(maxsize=8)
-def _overpartitions(n: int) -> tuple[Overpartition, ...]:
+def _partitions(n: int) -> tuple[Partition, ...]:
+    # pmex filters this once per r, so each weight is built once
+    return tuple(_plain(n, ()))
+
+
+def _overpartitions(n: int) -> Iterator[Overpartition]:
     # An overpartition is a partition plus a choice of part sizes to overline;
     # enumerating the choices with the largest size as the most significant
-    # bit keeps the whole list in canonical order without sorting.
-    out = []
+    # bit keeps the whole stream in canonical order without sorting.
     for p in _partitions(n):
         sizes = sorted(set(p.parts), reverse=True)
         for bits in product((False, True), repeat=len(sizes)):
@@ -240,48 +283,67 @@ def _overpartitions(n: int) -> tuple[Overpartition, ...]:
             remaining = list(p.parts)
             for s in overlined:
                 remaining.remove(s)
-            out.append(Overpartition(overlined, remaining))
-    return tuple(out)
+            yield Overpartition._trusted(overlined, tuple(remaining))
 
 
-@lru_cache(maxsize=8)
-def _two_colored_odd(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Raw (size, color) tuples with colors unrestricted; the family filter
-    # applies the threshold.  Within one size block the second-color count
-    # runs 0..multiplicity, which is exactly canonical order.
-    out = []
-    for p in _partitions(n):
-        if any(part % 2 == 0 for part in p.parts):
-            continue
-        sizes = sorted(set(p.parts), reverse=True)
-        mults = [p.parts.count(s) for s in sizes]
-        for counts in product(*(range(m + 1) for m in mults)):
-            parts: list[tuple[int, int]] = []
-            for size, mult, second in zip(sizes, mults, counts):
-                parts.extend([(size, 1)] * (mult - second))
-                parts.extend([(size, 2)] * second)
-            out.append(tuple(parts))
-    return tuple(out)
+def _obar(n: int, r: int) -> Iterator[Overpartition]:
+    # Plain sizes are > r with the parity of r+1; every other size must be
+    # overlined, so it occurs once.  Within one partition, plain before
+    # overlined at the largest size first is canonical order.
+    once = frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
+    for blocks in _walk(n, n, (), once):
+        choices = [
+            (((size,), ()),) if size in once
+            else (((), (size,) * mult), ((size,), (size,) * (mult - 1)))
+            for size, mult in blocks
+        ]
+        for pick in product(*choices):
+            overlined = plain = ()
+            for over, rest in pick:
+                overlined += over
+                plain += rest
+            yield Overpartition._trusted(overlined, plain)
 
 
-def enumerate_family(family: Family, n: int):
+def _po2(n: int, r: int) -> Iterator[ColoredPartition]:
+    # Odd parts only; within a size block the second-color count runs
+    # 0..multiplicity above r and stays 0 at or below it, which is
+    # canonical order.
+    for blocks in _walk(n, n, range(2, n + 1, 2), ()):
+        choices = [
+            tuple(((size, 1),) * (mult - c) + ((size, 2),) * c for c in range(mult + 1))
+            if size > r else (((size, 1),) * mult,)
+            for size, mult in blocks
+        ]
+        for pick in product(*choices):
+            yield ColoredPartition._trusted(sum(pick, ()), r)
+
+
+def _members(family: Family, n: int) -> Iterator:
+    """The weight-``n`` members of ``family``, lazily, in canonical order."""
+    _require_int(n, 0, "weight")
+    kind, r = family.kind, family.r
+    if kind == "p":
+        return iter(_partitions(n))
+    if kind == "pbar":
+        return _overpartitions(n)
+    if kind == "pmex":
+        return (p for p in _partitions(n) if is_member(family, p))
+    if kind == "obar":
+        return _obar(n, r)
+    if kind == "pe":  # no even size below r
+        return _plain(n, range(2, r, 2))
+    return _po2(n, r)
+
+
+def enumerate_family(family: Family, n: int) -> tuple:
     """All weight-``n`` members of ``family``, each exactly once.
 
     The order is fixed and documented: descending lexicographic on part
     sizes, then on the overline/color pattern.  Repeated calls with equal
     arguments return identical sequences.
     """
-    _require_int(n, 0, "weight")
-    if family.kind == "po2":
-        return tuple(
-            ColoredPartition(parts, family.r)
-            for parts in _two_colored_odd(n)
-            if _second_color_above(parts, family.r)
-        )
-    if family.kind in ("p", "pbar"):
-        return _partitions(n) if family.kind == "p" else _overpartitions(n)
-    base = _partitions(n) if family.kind in ("pmex", "pe") else _overpartitions(n)
-    return tuple(obj for obj in base if is_member(family, obj))
+    return tuple(_members(family, n))
 
 
 def count_family(family: Family, n: int) -> int:

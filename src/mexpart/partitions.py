@@ -39,6 +39,14 @@ class Partition:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         self.parts: tuple[int, ...] = ordered
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap ``parts`` as is, skipping sort and checks: for generators
+        whose output is already a descending tuple of positive ints."""
+        obj = object.__new__(cls)
+        obj.parts = parts
+        return obj
+
     @property
     def weight(self) -> int:
         return sum(self.parts)

@@ -1,13 +1,15 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from mexpart import Check, VerificationReport, bijections, cli
+from mexpart import Check, Overpartition, VerificationReport, bijections, cli
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
 
@@ -123,10 +125,14 @@ def test_gf_default_degree_env(monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 6
 
-    monkeypatch.setenv("MEX_DEFAULT_DEGREE", "junk")
-    code, _, err = run(["gf", "--r", "1"])
-    assert code == 2
-    assert "MEX_DEFAULT_DEGREE" in err
+    monkeypatch.setenv("MEX_DEFAULT_DEGREE", "0")
+    assert run(["gf", "--r", "1"]) == (0, "0\t1\n", "")
+
+    for raw in ("junk", "1_0", "\u0661\u0660", " 5", "5 ", "05", "+5", "-1", ""):
+        monkeypatch.setenv("MEX_DEFAULT_DEGREE", raw)
+        code, out, err = run(["gf", "--r", "1"])
+        assert (code, out) == (2, ""), raw
+        assert "MEX_DEFAULT_DEGREE" in err
 
 
 def test_gf_builtin_default_degree():
@@ -209,3 +215,40 @@ def test_closed_stdout_ends_quietly():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_closed_stdout_ends_quietly_while_streaming():
+    # `mexpart enumerate --family obar --n 40 --r 1 | head -1`, about 740 kB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mexpart", "enumerate", "--family", "obar", "--n", "40", "--r", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"40\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_enumerate_prints_each_member_as_it_is_built(monkeypatch):
+    built = []
+    trusted = Overpartition._trusted.__func__
+
+    def counting(cls, overlined, plain):
+        built.append(overlined)
+        return trusted(cls, overlined, plain)
+
+    monkeypatch.setattr(Overpartition, "_trusted", classmethod(counting))
+
+    class ClosedAfterOneLine(io.StringIO):
+        def write(self, text):
+            if "\n" in self.getvalue():
+                raise BrokenPipeError
+            return super().write(text)
+
+    out = ClosedAfterOneLine()
+    with redirect_stdout(out), pytest.raises(BrokenPipeError):
+        cli._execute(["enumerate", "--family", "obar", "--n", "40", "--r", "1"], None)
+    assert out.getvalue() == "40\n"
+    assert len(built) == 2  # of 37,338 members

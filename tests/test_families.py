@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from mexpart import (
     is_member,
     mex_sequence,
 )
+from mexpart.families import _overpartitions, _partitions
 
 
 overpartitions = st.builds(
@@ -91,6 +94,10 @@ class TestColoredPartitionType:
             ColoredPartition([(3, 3)], 2)
         with pytest.raises(ValueError):
             ColoredPartition([(True, 1)], 2)
+        with pytest.raises(ValueError):
+            ColoredPartition([(3, 1.0)], 2)
+        with pytest.raises(ValueError):
+            ColoredPartition([(5, True)], 2)
 
     def test_second_color_needs_large_size(self):
         with pytest.raises(ValueError):
@@ -273,6 +280,61 @@ class TestEnumerate:
     def test_deterministic(self):
         for family in (Family("pbar"), Family("po2", 4), Family("obar", 3)):
             assert enumerate_family(family, 10) == enumerate_family(family, 10)
+
+
+def two_colored_odd(n, r):
+    """Every odd-part partition of ``n`` with each part in either color, in
+    canonical order; colors are not checked against ``r``."""
+    for p in _partitions(n):
+        if any(part % 2 == 0 for part in p.parts):
+            continue
+        sizes = sorted(set(p.parts), reverse=True)
+        mults = [p.parts.count(s) for s in sizes]
+        for seconds in product(*(range(m + 1) for m in mults)):
+            parts = []
+            for size, mult, second in zip(sizes, mults, seconds):
+                parts += [(size, 1)] * (mult - second) + [(size, 2)] * second
+            yield ColoredPartition._trusted(tuple(parts), r)
+
+
+def base_family(kind, n, r):
+    """The unrestricted family that ``Family(kind, r)`` is a subset of."""
+    if kind == "obar":
+        return _overpartitions(n)
+    if kind == "po2":
+        return two_colored_odd(n, r)
+    return _partitions(n)
+
+
+class TestGeneratorsMatchTheFilter:
+    """Each family built by construction equals its unrestricted base family
+    filtered through ``is_member``, in the same order."""
+
+    @pytest.mark.parametrize("kind", ["obar", "pe", "po2", "pmex"])
+    def test_equals_generate_then_filter(self, kind):
+        for n in range(21):
+            for r in range(1, 7):
+                try:
+                    family = Family(kind, r)
+                except ValueError:
+                    continue
+                expected = tuple(x for x in base_family(kind, n, r) if is_member(family, x))
+                assert enumerate_family(family, n) == expected, (kind, n, r)
+
+    def test_trusted_objects_equal_validated_rebuilds(self):
+        rebuild = {
+            Partition: lambda x: Partition(x.parts),
+            Overpartition: lambda x: Overpartition(x.overlined, x.plain),
+            ColoredPartition: lambda x: ColoredPartition(x.parts, x.r),
+        }
+        families = [Family("p"), Family("pbar")] + [
+            Family(kind, r) for kind in ("pmex", "obar", "pe", "po2") for r in range(1, 7)
+            if (kind, r % 2) not in (("pe", 0), ("po2", 1))
+        ]
+        for family in families:
+            for n in range(15):
+                for x in enumerate_family(family, n):
+                    assert rebuild[type(x)](x) == x, (family, x)
 
 
 class TestIsMember:
