@@ -35,6 +35,8 @@ __all__ = ["main", "run"]
 
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 _DEGREE = re.compile(f"0|{_SIZE}")
+# Negative values pass here so that the range checks can name them.
+_INTEGER = re.compile(f"0|-?{_SIZE}")
 # Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
 # buffer, the stages of `enumerate | map | map` sharing one CPU wake each
 # other so often that the chain took 18% longer than with 64 KiB (perfbench
@@ -54,6 +56,15 @@ def _parser(cls):
 _PARSERS = {map_id: _parser(MEMBER_TYPES[kind]) for map_id, kind in DOMAIN.items()}
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: ASCII digits, no leading zero."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in ASCII digits without a leading zero, got {text!r}"
+        )
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mexpart",
@@ -63,30 +74,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("count", help="print the size of a family at one weight")
     cmd.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    cmd.add_argument("--n", required=True, type=int)
-    cmd.add_argument("--r", type=int)
+    cmd.add_argument("--n", required=True, type=_integer)
+    cmd.add_argument("--r", type=_integer)
 
     cmd = sub.add_parser("enumerate", help="print every member of a family, one per line")
     cmd.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    cmd.add_argument("--n", required=True, type=int)
-    cmd.add_argument("--r", type=int)
+    cmd.add_argument("--n", required=True, type=_integer)
+    cmd.add_argument("--r", type=_integer)
     cmd.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     cmd = sub.add_parser("map", help="apply a bijection to objects read from stdin")
     cmd.add_argument("--bijection", required=True, choices=sorted(_MAPS))
-    cmd.add_argument("--r", required=True, type=int)
+    cmd.add_argument("--r", required=True, type=_integer)
     cmd.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     cmd = sub.add_parser("gf", help="print generating-function coefficients 0..degree")
-    cmd.add_argument("--r", required=True, type=int)
-    cmd.add_argument("--degree", type=int)
+    cmd.add_argument("--r", required=True, type=_integer)
+    cmd.add_argument("--degree", type=_integer)
 
     cmd = sub.add_parser("verify", help="run the count and round-trip oracles")
-    cmd.add_argument("--max-n", required=True, type=int)
-    cmd.add_argument("--max-r", required=True, type=int)
+    cmd.add_argument("--max-n", required=True, type=_integer)
+    cmd.add_argument("--max-r", required=True, type=_integer)
 
     cmd = sub.add_parser("table", help="recompute one of the six reference tables")
-    cmd.add_argument("--id", required=True, type=int, choices=oracle.TABLE_IDS)
+    cmd.add_argument("--id", required=True, type=_integer, choices=oracle.TABLE_IDS)
 
     return parser
 

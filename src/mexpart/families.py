@@ -16,8 +16,8 @@ Enumeration builds each family by construction, not by filtering a larger
 one: a walk over partitions in descending lexicographic order uses only the
 sizes the family allows (each size that must be overlined at most once),
 and each partition it yields fans out into its admissible overline or color
-patterns.  ``pmex`` alone is a filter over all partitions through
-:func:`is_member`.  The membership predicates stay the definition of every
+patterns; ``pmex`` keeps the partitions whose blocks show a mex run of
+length >= r.  The membership predicates stay the definition of every
 family: the tests check each generator against the unrestricted base family
 filtered through :func:`is_member`.  Generators wrap their already canonical
 output with the private ``_trusted`` constructors, which skip the sorting
@@ -32,11 +32,10 @@ the command line streams from the same generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .partitions import _SIZE, Partition, _line, _require_int, _tokens, mex_sequence
+from .partitions import _SIZE, Partition, _descending, _line, _require_int, _tokens, mex_sequence
 
 __all__ = [
     "ColoredPartition",
@@ -57,11 +56,7 @@ class Overpartition:
     __slots__ = ("overlined", "plain")
 
     def __init__(self, overlined: Iterable[int] = (), plain: Iterable[int] = ()):
-        over = tuple(sorted(overlined, reverse=True))
-        rest = tuple(sorted(plain, reverse=True))
-        for part in over + rest:
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"parts must be positive integers, got {part!r}")
+        over, rest = _descending(overlined), _descending(plain)
         if any(a == b for a, b in zip(over, over[1:])):
             raise ValueError("overlined parts must be distinct")
         self.overlined: tuple[int, ...] = over
@@ -130,15 +125,19 @@ class ColoredPartition:
 
     def __init__(self, parts: Iterable[tuple[int, int]] = (), r: int = 2):
         Family("po2", r)
-        ordered = tuple(sorted(parts, key=lambda sc: (-sc[0], sc[1])))
-        for size, color in ordered:
+        ordered = list(parts)
+        for part in ordered:
+            if not isinstance(part, tuple) or len(part) != 2:
+                raise ValueError(f"parts must be (size, color) tuples, got {part!r}")
+            size, color = part
             if not isinstance(size, int) or isinstance(size, bool) or size < 1 or size % 2 == 0:
                 raise ValueError(f"part sizes must be odd positive integers, got {size!r}")
             if not isinstance(color, int) or isinstance(color, bool) or color not in (1, 2):
                 raise ValueError(f"colors must be 1 or 2, got {color!r}")
             if color == 2 and size <= r:
                 raise ValueError(f"second color needs size > {r}, got {size}")
-        self.parts: tuple[tuple[int, int], ...] = ordered
+        ordered.sort(key=lambda sc: (-sc[0], sc[1]))
+        self.parts: tuple[tuple[int, int], ...] = tuple(ordered)
         self.r = r
 
     @classmethod
@@ -244,7 +243,9 @@ def _walk(n: int, limit: int, skip, once) -> Iterator[tuple[tuple[int, int], ...
 
     The largest size comes first and, for it, the most copies first, which
     is descending lexicographic order on the parts (Knuth, TAOCP 4A,
-    7.2.1.4).
+    7.2.1.4).  A block that uses up the remainder ends its partition and is
+    yielded at once; a block of size 1 that does not is a dead end.  So the
+    walk recurses only into a positive remainder with sizes left to fill it.
     """
     if n == 0:
         yield ()
@@ -253,47 +254,39 @@ def _walk(n: int, limit: int, skip, once) -> Iterator[tuple[tuple[int, int], ...
         if size in skip:
             continue
         for mult in range(1 if size in once else n // size, 0, -1):
-            for rest in _walk(n - mult * size, size - 1, skip, once):
-                yield ((size, mult),) + rest
+            rest = n - mult * size
+            if rest == 0:
+                yield ((size, mult),)
+            elif size > 1:
+                for tail in _walk(rest, size - 1, skip, once):
+                    yield ((size, mult),) + tail
 
 
-def _plain(n: int, skip) -> Iterator[Partition]:
-    """Partitions of ``n`` with no size in ``skip``, in canonical order."""
-    for blocks in _walk(n, n, skip, ()):
-        parts = ()
-        for size, mult in blocks:
-            parts += (size,) * mult
-        yield Partition._trusted(parts)
+def _flat(blocks) -> Partition:
+    parts = ()
+    for size, mult in blocks:
+        parts += (size,) * mult
+    return Partition._trusted(parts)
 
 
-@lru_cache(maxsize=8)
-def _partitions(n: int) -> tuple[Partition, ...]:
-    # pmex filters this once per r, so each weight is built once
-    return tuple(_plain(n, ()))
+def _mex_run_at_least(blocks, r: int) -> bool:
+    # Sizes ascend from the last block: the mex m is the first gap, and the
+    # run reaches r iff the first size above m is >= m + r (or none is).
+    m = 1
+    for size, _ in reversed(blocks):
+        if size > m:
+            return size >= m + r
+        m += 1
+    return True
 
 
-def _overpartitions(n: int) -> Iterator[Overpartition]:
-    # An overpartition is a partition plus a choice of part sizes to overline;
-    # enumerating the choices with the largest size as the most significant
-    # bit keeps the whole stream in canonical order without sorting.
-    for p in _partitions(n):
-        sizes = sorted(set(p.parts), reverse=True)
-        for bits in product((False, True), repeat=len(sizes)):
-            overlined = tuple(s for s, bit in zip(sizes, bits) if bit)
-            remaining = list(p.parts)
-            for s in overlined:
-                remaining.remove(s)
-            yield Overpartition._trusted(overlined, tuple(remaining))
-
-
-def _obar(n: int, r: int) -> Iterator[Overpartition]:
-    # Plain sizes are > r with the parity of r+1; every other size must be
-    # overlined, so it occurs once.  Within one partition, plain before
-    # overlined at the largest size first is canonical order.
-    once = frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
-    for blocks in _walk(n, n, (), once):
+def _overlined(n: int, forced) -> Iterator[Overpartition]:
+    # Each block is plain or has one overlined copy, except that a size in
+    # ``forced`` occurs once and is always overlined.  Plain before
+    # overlined, at the largest size first, is canonical order.
+    for blocks in _walk(n, n, (), forced):
         choices = [
-            (((size,), ()),) if size in once
+            (((size,), ()),) if size in forced
             else (((), (size,) * mult), ((size,), (size,) * (mult - 1)))
             for size, mult in blocks
         ]
@@ -323,17 +316,16 @@ def _members(family: Family, n: int) -> Iterator:
     """The weight-``n`` members of ``family``, lazily, in canonical order."""
     _require_int(n, 0, "weight")
     kind, r = family.kind, family.r
-    if kind == "p":
-        return iter(_partitions(n))
     if kind == "pbar":
-        return _overpartitions(n)
+        return _overlined(n, ())
+    if kind == "obar":  # plain sizes are > r with the parity of r+1
+        return _overlined(n, frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0))
+    if kind == "po2":
+        return _po2(n, r)
+    blocks = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
     if kind == "pmex":
-        return (p for p in _partitions(n) if is_member(family, p))
-    if kind == "obar":
-        return _obar(n, r)
-    if kind == "pe":  # no even size below r
-        return _plain(n, range(2, r, 2))
-    return _po2(n, r)
+        blocks = (b for b in blocks if _mex_run_at_least(b, r))
+    return map(_flat, blocks)
 
 
 def enumerate_family(family: Family, n: int) -> tuple:

@@ -33,11 +33,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ordered = tuple(sorted(parts, reverse=True))
-        for part in ordered:
-            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise ValueError(f"parts must be positive integers, got {part!r}")
-        self.parts: tuple[int, ...] = ordered
+        self.parts: tuple[int, ...] = _descending(parts)
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -82,6 +78,18 @@ class Partition:
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing: {text.strip()!r}")
         return cls(parts)
+
+
+def _descending(parts: Iterable[int]) -> tuple[int, ...]:
+    """``parts`` as a descending tuple.  Each part is checked to be a
+    positive integer (not a bool) before the sort, so a bad part raises
+    ValueError rather than whatever comparing it would raise."""
+    ordered = list(parts)
+    for part in ordered:
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+            raise ValueError(f"parts must be positive integers, got {part!r}")
+    ordered.sort(reverse=True)
+    return tuple(ordered)
 
 
 def _require_int(value, least: int, name: str) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mexpart import Check, Overpartition, VerificationReport, bijections, cli
+from mexpart import Check, Overpartition, Partition, VerificationReport, bijections, cli
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
 
@@ -182,6 +182,10 @@ def test_verify_failure_exits_one(monkeypatch):
         ["map", "--bijection", "t5", "--r", "0"],
         ["nonsense"],
         [],
+        ["count", "--family", "p", "--n", "1_0"],
+        ["count", "--family", "p", "--n", "\u0663"],
+        ["count", "--family", "p", "--n", " 5"],
+        ["count", "--family", "p", "--n", "05"],
     ],
 )
 def test_usage_errors_exit_two(argv):
@@ -231,15 +235,17 @@ def test_closed_stdout_ends_quietly_while_streaming():
     proc.stderr.close()
 
 
-def test_enumerate_prints_each_member_as_it_is_built(monkeypatch):
+@pytest.mark.parametrize(
+    "family,r", [("obar", "1"), ("pbar", None), ("p", None), ("pmex", "1")]
+)
+def test_enumerate_prints_each_member_as_it_is_built(monkeypatch, family, r):
     built = []
-    trusted = Overpartition._trusted.__func__
+    for owner in (Overpartition, Partition):
+        def counting(cls, *args, trusted=owner._trusted.__func__):
+            built.append(args)
+            return trusted(cls, *args)
 
-    def counting(cls, overlined, plain):
-        built.append(overlined)
-        return trusted(cls, overlined, plain)
-
-    monkeypatch.setattr(Overpartition, "_trusted", classmethod(counting))
+        monkeypatch.setattr(owner, "_trusted", classmethod(counting))
 
     class ClosedAfterOneLine(io.StringIO):
         def write(self, text):
@@ -247,8 +253,9 @@ def test_enumerate_prints_each_member_as_it_is_built(monkeypatch):
                 raise BrokenPipeError
             return super().write(text)
 
+    argv = ["enumerate", "--family", family, "--n", "40"] + (["--r", r] if r else [])
     out = ClosedAfterOneLine()
     with redirect_stdout(out), pytest.raises(BrokenPipeError):
-        cli._execute(["enumerate", "--family", "obar", "--n", "40", "--r", "1"], None)
+        cli._execute(argv, None)
     assert out.getvalue() == "40\n"
-    assert len(built) == 2  # of 37,338 members
+    assert len(built) == 2  # of 37,338 members, or 1,263,272 for pbar

@@ -13,8 +13,6 @@ from mexpart import (
     is_member,
     mex_sequence,
 )
-from mexpart.families import _overpartitions, _partitions
-
 
 overpartitions = st.builds(
     Overpartition,
@@ -58,6 +56,8 @@ class TestOverpartitionType:
             Overpartition([0], [])
         with pytest.raises(ValueError):
             Overpartition([], [-2])
+        with pytest.raises(ValueError):
+            Overpartition([], [None, 1])
 
     def test_text_forms(self):
         assert Overpartition([6, 4, 3, 2, 1], [3, 3]).text() == "~6 ~4 ~3 3 3 ~2 ~1"
@@ -98,6 +98,10 @@ class TestColoredPartitionType:
             ColoredPartition([(3, 1.0)], 2)
         with pytest.raises(ValueError):
             ColoredPartition([(5, True)], 2)
+        with pytest.raises(ValueError):
+            ColoredPartition([("3", 1)], 2)
+        with pytest.raises(ValueError):
+            ColoredPartition([(3,)], 2)
 
     def test_second_color_needs_large_size(self):
         with pytest.raises(ValueError):
@@ -282,38 +286,63 @@ class TestEnumerate:
             assert enumerate_family(family, 10) == enumerate_family(family, 10)
 
 
+def reference_partitions(n, largest):
+    """Every partition of ``n`` into parts ``<= largest``, as descending
+    tuples in descending lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in reference_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def reference_overpartitions(n):
+    """Every overpartition of ``n`` in canonical order: each partition with
+    every choice of sizes to overline, the largest size as the most
+    significant bit."""
+    for parts in reference_partitions(n, n):
+        sizes = sorted(set(parts), reverse=True)
+        for bits in product((False, True), repeat=len(sizes)):
+            overlined = tuple(s for s, bit in zip(sizes, bits) if bit)
+            remaining = list(parts)
+            for s in overlined:
+                remaining.remove(s)
+            yield Overpartition._trusted(overlined, tuple(remaining))
+
+
 def two_colored_odd(n, r):
     """Every odd-part partition of ``n`` with each part in either color, in
     canonical order; colors are not checked against ``r``."""
-    for p in _partitions(n):
-        if any(part % 2 == 0 for part in p.parts):
+    for parts in reference_partitions(n, n):
+        if any(part % 2 == 0 for part in parts):
             continue
-        sizes = sorted(set(p.parts), reverse=True)
-        mults = [p.parts.count(s) for s in sizes]
+        sizes = sorted(set(parts), reverse=True)
+        mults = [parts.count(s) for s in sizes]
         for seconds in product(*(range(m + 1) for m in mults)):
-            parts = []
+            colored = []
             for size, mult, second in zip(sizes, mults, seconds):
-                parts += [(size, 1)] * (mult - second) + [(size, 2)] * second
-            yield ColoredPartition._trusted(tuple(parts), r)
+                colored += [(size, 1)] * (mult - second) + [(size, 2)] * second
+            yield ColoredPartition._trusted(tuple(colored), r)
 
 
 def base_family(kind, n, r):
     """The unrestricted family that ``Family(kind, r)`` is a subset of."""
-    if kind == "obar":
-        return _overpartitions(n)
+    if kind in ("pbar", "obar"):
+        return reference_overpartitions(n)
     if kind == "po2":
         return two_colored_odd(n, r)
-    return _partitions(n)
+    return map(Partition, reference_partitions(n, n))
 
 
 class TestGeneratorsMatchTheFilter:
     """Each family built by construction equals its unrestricted base family
     filtered through ``is_member``, in the same order."""
 
-    @pytest.mark.parametrize("kind", ["obar", "pe", "po2", "pmex"])
+    @pytest.mark.parametrize("kind", ["obar", "pe", "po2", "pmex", "p", "pbar"])
     def test_equals_generate_then_filter(self, kind):
         for n in range(21):
-            for r in range(1, 7):
+            for r in [None] if kind in ("p", "pbar") else range(1, 7):
                 try:
                     family = Family(kind, r)
                 except ValueError:

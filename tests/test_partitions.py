@@ -34,7 +34,7 @@ class TestPartitionType:
         assert Partition().parts == ()
         assert Partition([5]).weight == 5
         assert Partition().weight == 0
-        for bad in ([0], [-1], [1.5], [True], ["2"]):
+        for bad in ([0], [-1], [1.5], [True], ["2"], [1, "2"]):
             with pytest.raises(ValueError):
                 Partition(bad)
 
