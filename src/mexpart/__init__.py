@@ -3,94 +3,23 @@
 The package ties three views of the same counting problem together: direct
 enumeration of the families, constructive bijections between them, and an
 exact truncated q-series oracle, plus a harness that cross-checks all three.
+
+The public names are those of each module's ``__all__``, re-exported here.
 """
 
-from .bijections import (
-    SigmaDecomposition,
-    even_forward,
-    even_inverse,
-    mex_forward,
-    mex_inverse,
-    odd_forward,
-    odd_inverse,
-    sigma_decompose,
-)
-from .families import (
-    ColoredPartition,
-    Family,
-    Overpartition,
-    count_family,
-    enumerate_family,
-    is_member,
-)
-from .oracle import (
-    Check,
-    VerificationReport,
-    golden_table,
-    reproduce_table,
-    verify_counts,
-    verify_roundtrips,
-)
-from .partitions import (
-    INFINITE,
-    MexSequence,
-    Partition,
-    conjugate,
-    glaisher_merge,
-    glaisher_split,
-    has_no_gaps,
-    mex,
-    mex_sequence,
-    oplus,
-)
-from .qseries import (
-    DEFAULT_DEGREE,
-    TruncatedSeries,
-    gf_pmex,
-    poch_distinct,
-    poch_inv,
-    series_mul,
-    verify_euler,
-)
+from . import bijections, families, oracle, partitions, qseries
+from .bijections import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .partitions import *  # noqa: F401,F403
+from .qseries import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITE",
-    "DEFAULT_DEGREE",
-    "Check",
-    "ColoredPartition",
-    "Family",
-    "MexSequence",
-    "Overpartition",
-    "Partition",
-    "SigmaDecomposition",
-    "TruncatedSeries",
-    "VerificationReport",
-    "conjugate",
-    "count_family",
-    "enumerate_family",
-    "even_forward",
-    "even_inverse",
-    "gf_pmex",
-    "glaisher_merge",
-    "glaisher_split",
-    "golden_table",
-    "has_no_gaps",
-    "is_member",
-    "mex",
-    "mex_forward",
-    "mex_inverse",
-    "mex_sequence",
-    "odd_forward",
-    "odd_inverse",
-    "oplus",
-    "poch_distinct",
-    "poch_inv",
-    "reproduce_table",
-    "series_mul",
-    "sigma_decompose",
-    "verify_counts",
-    "verify_euler",
-    "verify_roundtrips",
+    *bijections.__all__,
+    *families.__all__,
+    *oracle.__all__,
+    *partitions.__all__,
+    *qseries.__all__,
 ]

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``count``, ``enumerate``, ``map``, ``gf``, ``verify``,
-``table``.  Objects stream one per line in the textual grammar (partition
+``table``.  Objects stream one per line in their canonical text (partition
 ``8 7 3 2 1 1``, overpartition ``~6 ~4 3``, colored partition ``5_2 1_1``,
-empty object ``-``), so maps compose via shell pipes.  Exit codes: 0 on
-success, 1 on verification failure, 2 on usage or parse errors.
+empty object ``-``), so maps compose via shell pipes.  Input is accepted
+iff it is exactly how mexpart prints that value: an object line as its
+``text()``, an integer option as ``str(int)``.  Exit codes: 0 on success,
+1 on verification failure, 2 on usage or parse errors.
 
 Output is written as it is produced.  The ``--bijection`` choices, each
 map's input parser and its r rule all come from the registry in
@@ -18,7 +20,6 @@ import argparse
 import io
 import json
 import os
-import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Iterable
@@ -28,15 +29,12 @@ from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
 from .families import FAMILY_KINDS, MEMBER_TYPES, ColoredPartition, Family, Overpartition
 from .families import _members, count_family
-from .partitions import _SIZE, Partition
+from .partitions import Partition
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
 __all__ = ["main", "run"]
 
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
-_DEGREE = re.compile(f"0|{_SIZE}")
-# Negative values pass here so that the range checks can name them.
-_INTEGER = re.compile(f"0|-?{_SIZE}")
 # Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
 # buffer, the stages of `enumerate | map | map` sharing one CPU wake each
 # other so often that the chain took 18% longer than with 64 KiB (perfbench
@@ -57,12 +55,18 @@ _PARSERS = {map_id: _parser(MEMBER_TYPES[kind]) for map_id, kind in DOMAIN.items
 
 
 def _integer(text: str) -> int:
-    """The type of every integer option: ASCII digits, no leading zero."""
-    if _INTEGER.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in ASCII digits without a leading zero, got {text!r}"
-        )
-    return int(text)
+    """The type of every integer option: ``text`` iff it is how Python
+    prints ``int(text)``, so ASCII digits with no leading zero or ``+``.
+    Negative values pass here so that the range checks can name them."""
+    try:
+        value = int(text)
+        if str(value) == text:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer in ASCII digits without a leading zero, got {text!r}"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,12 +132,16 @@ def _default_degree() -> int:
     raw = os.environ.get(DEGREE_ENV_VAR)
     if raw is None:
         return DEFAULT_DEGREE
-    if _DEGREE.fullmatch(raw) is None:
+    try:
+        degree = _integer(raw)
+    except argparse.ArgumentTypeError:
+        degree = -1
+    if degree < 0:
         raise ValueError(
             f"{DEGREE_ENV_VAR} must be a nonnegative integer in ASCII digits"
             f" without a leading zero, got {raw!r}"
         )
-    return int(raw)
+    return degree
 
 
 def _cmd_count(args, stdin) -> int:

@@ -27,6 +27,9 @@ The fixed enumeration order is descending lexicographic on the part sizes,
 with ties broken by the overline/color pattern (plain before overlined,
 first color before second).  :func:`enumerate_family` returns a tuple;
 the command line streams from the same generators.
+
+Each member type prints one canonical line (``~6 ~4 3 3``, ``5_2 1_1``)
+and its ``from_text`` accepts exactly the lines ``text()`` prints.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .partitions import _SIZE, Partition, _descending, _line, _require_int, _tokens, mex_sequence
+from .partitions import Partition, _descending, _from_text, _require_int, mex_sequence
 
 __all__ = [
     "ColoredPartition",
@@ -45,9 +48,6 @@ __all__ = [
     "enumerate_family",
     "is_member",
 ]
-
-_OVERPARTITION_LINE = _line(f"~?{_SIZE}")
-_COLORED_LINE = _line(f"{_SIZE}_[12]")
 
 
 class Overpartition:
@@ -77,9 +77,9 @@ class Overpartition:
     def tokens(self) -> list[tuple[int, bool]]:
         """(size, overlined) pairs in print order: sizes descending, the
         overlined copy first within a size."""
-        items = [(s, True) for s in self.overlined] + [(s, False) for s in self.plain]
-        items.sort(key=lambda t: (-t[0], not t[1]))
-        return items
+        return sorted(
+            [(s, True) for s in self.overlined] + [(s, False) for s in self.plain], reverse=True
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -102,20 +102,8 @@ class Overpartition:
 
     @classmethod
     def from_text(cls, text: str) -> "Overpartition":
-        """Parse the canonical form; token order must match print order."""
-        pairs = [
-            (int(token[1:]), True) if token[0] == "~" else (int(token), False)
-            for token in _tokens(text, _OVERPARTITION_LINE, "overpartition")
-        ]
-        for (s1, o1), (s2, o2) in zip(pairs, pairs[1:]):
-            if s1 < s2:
-                raise ValueError(f"sizes must be weakly decreasing: {text.strip()!r}")
-            if s1 == s2 and not o1 and o2:
-                raise ValueError(f"overlined copy must precede plain: {text.strip()!r}")
-        return cls(
-            (s for s, over in pairs if over),
-            (s for s, over in pairs if not over),
-        )
+        """Parse one line: exactly what :meth:`text` prints, nothing else."""
+        return _from_text(cls, text, _overpartition_arguments)
 
 
 class ColoredPartition:
@@ -174,14 +162,19 @@ class ColoredPartition:
 
     @classmethod
     def from_text(cls, text: str, r: int) -> "ColoredPartition":
-        pairs = [
-            (int(token[:-2]), int(token[-1]))
-            for token in _tokens(text, _COLORED_LINE, "colored partition")
-        ]
-        for (s1, c1), (s2, c2) in zip(pairs, pairs[1:]):
-            if s1 < s2 or (s1 == s2 and c1 > c2):
-                raise ValueError(f"tokens must be in canonical order: {text.strip()!r}")
-        return cls(pairs, r)
+        """Parse one line: exactly what :meth:`text` prints, nothing else."""
+        return _from_text(cls, text, lambda tokens: ([_colored_part(t) for t in tokens],), r)
+
+
+def _overpartition_arguments(tokens: list[str]) -> tuple[list[int], list[int]]:
+    """(overlined, plain) sizes of ``~6 3``-style tokens."""
+    return [int(t[1:]) for t in tokens if t[:1] == "~"], [int(t) for t in tokens if t[:1] != "~"]
+
+
+def _colored_part(token: str) -> tuple[int, int]:
+    """(size, color) of a ``5_2``-style token."""
+    size, color = token.split("_")
+    return int(size), int(color)
 
 
 # Member type of each family kind, in the order the command line lists them.

@@ -145,6 +145,7 @@ def reproduce_table(table_id: int) -> str:
     a blank line.  Every image is computed by the corresponding map, never
     hard-coded.
     """
+    _require_int(table_id, 1, "table id")
     if table_id == 1:
         rows = [(d, conjugate(d)) for d in _distinct_partitions(6)]
     elif table_id == 2:
@@ -174,7 +175,7 @@ def _rows_text(rows) -> str:
 
 def golden_table(table_id: int) -> str:
     """The stored expected text for one table."""
-    if table_id not in TABLE_IDS:
+    if _require_int(table_id, 1, "table id") not in TABLE_IDS:
         raise ValueError(f"table id must be 1..6, got {table_id!r}")
     path = resources.files("mexpart") / "golden" / f"table{table_id}.txt"
     return path.read_text(encoding="utf-8")

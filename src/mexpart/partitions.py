@@ -3,11 +3,14 @@
 A partition is a weakly decreasing tuple of positive integers; the empty
 tuple is the unique partition of 0.  Everything here is an immutable value
 and every operation is a pure function, so concurrent use is safe.
+
+The printer is the textual grammar of every object type: ``from_text``
+accepts a line iff its tokens convert, the public constructor accepts the
+result and that object's ``text()`` gives back the stripped line.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -73,11 +76,8 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse the canonical form; rejects anything not in the grammar."""
-        parts = [int(token) for token in _tokens(text, _PARTITION_LINE, "partition")]
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {text.strip()!r}")
-        return cls(parts)
+        """Parse one line: exactly what :meth:`text` prints, nothing else."""
+        return _from_text(cls, text, lambda tokens: ([int(token) for token in tokens],))
 
 
 def _descending(parts: Iterable[int]) -> tuple[int, ...]:
@@ -99,29 +99,26 @@ def _require_int(value, least: int, name: str) -> int:
     return value
 
 
-# The one size rule of the textual grammar: ASCII digits, no leading zero.
-_SIZE = "[1-9][0-9]*"
+def _from_text(cls, text: str, arguments, *context):
+    """``cls(*arguments(tokens), *context)`` for the tokens of one line,
+    accepted iff its ``text()`` is the stripped line.
 
-
-def _line(token: str) -> re.Pattern:
-    """A line of ``token``s separated by single ASCII spaces."""
-    return re.compile(f"{token}(?: {token})*")
-
-
-_PARTITION_LINE = _line(_SIZE)
-
-
-def _tokens(text: str, line: re.Pattern, what: str) -> list[str]:
-    """The tokens of one stripped line that matches ``line``; none for the
-    empty object ``-``."""
-    stripped = text.strip()
-    if stripped == "-":
-        return []
-    if not stripped:
-        raise ValueError(f"empty {what} must be written as '-'")
-    if line.fullmatch(stripped) is None:
-        raise ValueError(f"not a {what}: {stripped!r}")
-    return stripped.split(" ")
+    The tokens are the stripped line split on single spaces (none for the
+    empty object ``-``); ``arguments`` converts them with ``int``.  The
+    constructor's own ValueError propagates; a line whose tokens do not
+    convert, or that is not how the object prints, gets one message.
+    """
+    line = text.strip()
+    try:
+        args = arguments([] if line == "-" else line.split(" "))
+    except ValueError:
+        raise ValueError(f"not a canonical {cls.__name__} line: {line!r}") from None
+    obj = cls(*args, *context)
+    if obj.text() != line:
+        raise ValueError(
+            f"not a canonical {cls.__name__} line: {line!r}; it prints as {obj.text()!r}"
+        )
+    return obj
 
 
 class _InfiniteLength:

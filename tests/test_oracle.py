@@ -133,3 +133,8 @@ class TestTables:
             reproduce_table(7)
         with pytest.raises(ValueError):
             golden_table(9)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError):
+                reproduce_table(bad)
+            with pytest.raises(ValueError):
+                golden_table(bad)
