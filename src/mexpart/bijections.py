@@ -15,6 +15,10 @@ and ``map_families``) is the one place where a bijection's id, inverse and
 domain are written down; the command line, the oracle and the reference
 tables all read it.  A map's r rule is that of its domain and codomain
 :class:`Family`, so no map checks the parity of r itself.
+
+Each map checks its input once, on entry, and builds its image with the
+private ``_trusted`` constructors: the image is canonical by construction,
+so the public constructors' sorting and checks would only repeat work.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .families import ColoredPartition, Family, Overpartition, is_member
-from .partitions import Partition, _require_int, conjugate, glaisher_merge, glaisher_split
-from .partitions import mex_sequence, oplus
+from .families import ColoredPartition, Family, Overpartition, _colored_order, is_member
+from .partitions import Partition, _merge, _require_int, _split, conjugate, mex_sequence, oplus
 
 __all__ = [
     "SigmaDecomposition",
@@ -57,7 +60,13 @@ def _check_domain(map_id: str, obj, r: int) -> None:
     its domain."""
     domain, _ = map_families(map_id, r)
     if not is_member(domain, obj):
-        raise ValueError(f"{obj.text()!r} is not in family {domain.kind!r} at r={r}")
+        raise _outside(domain, obj)
+
+
+def _outside(domain: Family, obj) -> ValueError:
+    """The error for ``obj`` outside ``domain``; any value may be passed."""
+    shown = obj.text() if isinstance(obj, (Partition, Overpartition, ColoredPartition)) else obj
+    return ValueError(f"{shown!r} is not in family {domain.kind!r} at r={domain.r}")
 
 
 def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
@@ -71,14 +80,29 @@ def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
     form the gap-free ``sigma``.
     """
     _require_int(r, 1, "r")
+    if not isinstance(kappa, Partition):
+        raise ValueError(f"sigma_decompose needs a Partition, got {kappa!r}")
     run = mex_sequence(kappa)
     if run.is_infinite or run.length < r:
         raise ValueError(
             f"partition {kappa.text()!r} needs a finite mex run of length >= {r}"
         )
-    m = run.start
-    parts = kappa.parts
-    count_above = sum(1 for x in parts if x > m)
+    delta, sigma = _sigma_parts(kappa.parts, run.start, r)
+    return SigmaDecomposition(Partition._trusted(delta), Partition._trusted(sigma), r)
+
+
+def _sigma_parts(parts: tuple[int, ...], m: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Parts of ``delta`` and ``sigma`` for ``parts`` with mex ``m`` and a
+    finite run of length >= r, both descending.
+
+    The running values rise by at most one per part, and only between
+    unequal parts, so ``delta`` descends; ``sigma`` does too, since the
+    running values are at least m - 1 and the parts below the mex at most
+    m - 1.
+    """
+    count_above = 0
+    while count_above < len(parts) and parts[count_above] > m:
+        count_above += 1
     # a finite run means some part lies beyond it
     assert count_above >= 1
     want = (r + 1) % 2
@@ -88,10 +112,9 @@ def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
         if (parts[idx] - running) % 2 != want:
             running += 1
         sig[idx] = running
-    delta = Partition(parts[idx] - sig[idx] for idx in range(count_above))
-    tail = [x for x in parts if x <= m - 1]
-    sigma = Partition(x for x in sig + tail if x > 0)
-    return SigmaDecomposition(delta, sigma, r)
+    delta = [parts[idx] - sig[idx] for idx in range(count_above)]
+    sig += parts[count_above:]
+    return tuple(delta), tuple([x for x in sig if x > 0])
 
 
 def mex_forward(kappa: Partition, r: int) -> Overpartition:
@@ -102,56 +125,58 @@ def mex_forward(kappa: Partition, r: int) -> Overpartition:
     Otherwise the gap-free core of :func:`sigma_decompose` is conjugated
     into the overlined parts and the padding summand stays plain.
     """
-    map_families("t5", r)  # the r check; the domain check reuses the run below
-    run = mex_sequence(kappa)
-    if not run.at_least(r):
-        raise ValueError(f"{kappa.text()!r} is not in family 'pmex' at r={r}")
+    domain, _ = map_families("t5", r)  # the domain check is the mex run below
+    run = mex_sequence(kappa) if isinstance(kappa, Partition) else None
+    if run is None or not run.at_least(r):
+        raise _outside(domain, kappa)
     if run.is_infinite:
-        return Overpartition(conjugate(kappa).parts, ())
-    dec = sigma_decompose(kappa, r)
-    return Overpartition(conjugate(dec.sigma).parts, dec.delta.parts)
+        return Overpartition._trusted(conjugate(kappa).parts, ())
+    delta, sigma = _sigma_parts(kappa.parts, run.start, r)
+    return Overpartition._trusted(conjugate(Partition._trusted(sigma)).parts, delta)
 
 
 def mex_inverse(op: Overpartition, r: int) -> Partition:
     """Map an ``obar`` overpartition back: conjugate the overlined parts and
     add the plain parts part-wise."""
     _check_domain("t5inv", op, r)
-    return oplus(conjugate(Partition(op.overlined)), Partition(op.plain))
+    return oplus(conjugate(Partition._trusted(op.overlined)), Partition._trusted(op.plain))
 
 
 def odd_forward(p: Partition, r: int) -> Overpartition:
     """Map a ``pe`` partition (odd r): merge the odd parts into distinct
     overlined ones, keep the even parts plain."""
     _check_domain("odd", p, r)
-    odds = Partition(x for x in p.parts if x % 2 == 1)
-    evens = tuple(x for x in p.parts if x % 2 == 0)
-    return Overpartition(glaisher_merge(odds).parts, evens)
+    overlined = _merge([x for x in p.parts if x % 2 == 1])
+    plain = [x for x in p.parts if x % 2 == 0]
+    return Overpartition._trusted(tuple(overlined), tuple(plain))
 
 
 def odd_inverse(op: Overpartition, r: int) -> Partition:
     """Inverse of :func:`odd_forward`: split the overlined parts into odd
     ones and take the union with the plain parts."""
     _check_domain("oddinv", op, r)
-    split = glaisher_split(Partition(op.overlined))
-    return Partition(split.parts + op.plain)
+    parts = _split(op.overlined)
+    parts += op.plain
+    parts.sort(reverse=True)
+    return Partition._trusted(tuple(parts))
 
 
 def even_forward(colored: ColoredPartition, r: int) -> Overpartition:
     """Map a ``po2`` colored partition (even r): merge the first-color sizes
     into distinct overlined parts, keep the second-color sizes plain."""
     _check_domain("even", colored, r)
-    first = Partition(size for size, color in colored.parts if color == 1)
-    second = tuple(size for size, color in colored.parts if color == 2)
-    return Overpartition(glaisher_merge(first).parts, second)
+    overlined = _merge([size for size, color in colored.parts if color == 1])
+    plain = [size for size, color in colored.parts if color == 2]
+    return Overpartition._trusted(tuple(overlined), tuple(plain))
 
 
 def even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     """Inverse of :func:`even_forward`: split the overlined parts into odd
     first-color sizes and give the plain parts the second color."""
     _check_domain("eveninv", op, r)
-    first = glaisher_split(Partition(op.overlined))
-    parts = tuple((s, 1) for s in first.parts) + tuple((s, 2) for s in op.plain)
-    return ColoredPartition(parts, r)
+    parts = [(s, 1) for s in _split(op.overlined)] + [(s, 2) for s in op.plain]
+    parts.sort(key=_colored_order)
+    return ColoredPartition._trusted(tuple(parts), r)
 
 
 # The registry.  Callers look a map up here when they call it, never keep

@@ -77,9 +77,17 @@ class Overpartition:
     def tokens(self) -> list[tuple[int, bool]]:
         """(size, overlined) pairs in print order: sizes descending, the
         overlined copy first within a size."""
-        return sorted(
-            [(s, True) for s in self.overlined] + [(s, False) for s in self.plain], reverse=True
-        )
+        # One merge of the two descending tuples: a plain part goes first
+        # only when it is larger than the next overlined one.
+        over, out = self.overlined, []
+        i, count = 0, len(over)
+        for size in self.plain:
+            while i < count and over[i] >= size:
+                out.append((over[i], True))
+                i += 1
+            out.append((size, False))
+        out += [(size, True) for size in over[i:]]
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -96,9 +104,8 @@ class Overpartition:
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``~6 ~4 ~3 3 3 ~2 ~1``; `-` when empty."""
-        if not self.overlined and not self.plain:
-            return "-"
-        return " ".join(f"~{s}" if over else str(s) for s, over in self.tokens())
+        words = [f"~{s}" if over else str(s) for s, over in self.tokens()]
+        return " ".join(words) if words else "-"
 
     @classmethod
     def from_text(cls, text: str) -> "Overpartition":
@@ -124,7 +131,7 @@ class ColoredPartition:
                 raise ValueError(f"colors must be 1 or 2, got {color!r}")
             if color == 2 and size <= r:
                 raise ValueError(f"second color needs size > {r}, got {size}")
-        ordered.sort(key=lambda sc: (-sc[0], sc[1]))
+        ordered.sort(key=_colored_order)
         self.parts: tuple[tuple[int, int], ...] = tuple(ordered)
         self.r = r
 
@@ -164,6 +171,12 @@ class ColoredPartition:
     def from_text(cls, text: str, r: int) -> "ColoredPartition":
         """Parse one line: exactly what :meth:`text` prints, nothing else."""
         return _from_text(cls, text, lambda tokens: ([_colored_part(t) for t in tokens],), r)
+
+
+def _colored_order(part: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of the canonical order of colored parts: size descending,
+    then color ascending."""
+    return -part[0], part[1]
 
 
 def _overpartition_arguments(tokens: list[str]) -> tuple[list[int], list[int]]:

@@ -19,6 +19,7 @@ from mexpart import (
     oplus,
     sigma_decompose,
 )
+from mexpart.bijections import MAPS, map_families
 
 
 class TestSigmaDecompose:
@@ -209,3 +210,76 @@ class TestRoundTrips:
                     assert base == count_family(Family("pe", r), n)
                 else:
                     assert base == count_family(Family("po2", r), n)
+
+
+# Map (or sigma_decompose), an r it accepts, and the type of its domain.
+ENTRY_POINTS = [
+    ("t5", mex_forward, 2, Partition),
+    ("t5inv", mex_inverse, 2, Overpartition),
+    ("odd", odd_forward, 3, Partition),
+    ("oddinv", odd_inverse, 3, Overpartition),
+    ("even", even_forward, 2, ColoredPartition),
+    ("eveninv", even_inverse, 2, Overpartition),
+    ("sigma_decompose", sigma_decompose, 2, Partition),
+]
+FOREIGN = [
+    Overpartition([3], [1]),
+    ColoredPartition([(3, 1)], 2),
+    Partition([3, 1]),
+    (3, 1),
+    None,
+]
+
+
+@pytest.mark.parametrize(
+    "name,function,r,bad",
+    [
+        pytest.param(name, function, r, bad, id=f"{name}-{type(bad).__name__}")
+        for name, function, r, accepted in ENTRY_POINTS
+        for bad in FOREIGN
+        if not isinstance(bad, accepted)
+    ],
+)
+def test_foreign_input_raises_value_error(name, function, r, bad):
+    with pytest.raises(ValueError):
+        function(bad, r)
+
+
+def test_foreign_input_message_names_the_family():
+    with pytest.raises(ValueError, match=r"^'~3 1' is not in family 'pmex' at r=1$"):
+        mex_forward(Overpartition([3], [1]), 1)
+    with pytest.raises(ValueError, match=r"^None is not in family 'obar' at r=2$"):
+        mex_inverse(None, 2)
+
+
+class TestImagesAreCanonical:
+    """The maps build their images without the public constructors; each
+    image must still be exactly what those constructors and the parsers
+    make of it."""
+
+    REBUILD = {
+        Partition: lambda x: Partition(x.parts),
+        Overpartition: lambda x: Overpartition(x.overlined, x.plain),
+        ColoredPartition: lambda x: ColoredPartition(x.parts, x.r),
+    }
+    PARSE = {
+        Partition: lambda x: Partition.from_text(x.text()),
+        Overpartition: lambda x: Overpartition.from_text(x.text()),
+        ColoredPartition: lambda x: ColoredPartition.from_text(x.text(), x.r),
+    }
+
+    @pytest.mark.parametrize("map_id", sorted(MAPS))
+    def test_every_image_up_to_16(self, map_id):
+        images = 0
+        for r in range(1, 7):
+            try:
+                domain, _ = map_families(map_id, r)
+            except ValueError:
+                continue
+            for n in range(17):
+                for obj in enumerate_family(domain, n):
+                    image = MAPS[map_id](obj, r)
+                    assert self.REBUILD[type(image)](image) == image, (map_id, r, obj)
+                    assert self.PARSE[type(image)](image) == image, (map_id, r, obj)
+                    images += 1
+        assert images > 1000

@@ -8,8 +8,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mexpart import Check, Overpartition, Partition, VerificationReport, bijections, cli, gf_pmex
+from mexpart import Check, Family, Overpartition, Partition, VerificationReport, bijections, cli, gf_pmex
+from mexpart import enumerate_family
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
 
@@ -286,3 +288,71 @@ def test_enumerate_prints_each_member_as_it_is_built(monkeypatch, family, r):
         cli._execute(argv, None)
     assert out.getvalue() == "40\n"
     assert len(built) == 2  # of 37,338 members, or 1,263,272 for pbar
+
+
+# Tokens that no object line holds.
+STRAY_TOKENS = ["x", "~", "+1", "01", "3_", "_1", "~~2", "1.0", "-"]
+
+
+def _domain_lines(map_id, r, n):
+    domain, _ = bijections.map_families(map_id, r)
+    return [obj.text() for obj in enumerate_family(domain, n)]
+
+
+@st.composite
+def rejected_stream(draw, map_id):
+    """Valid domain lines of a map with one invalid line at a drawn place:
+    out of order, from another family, or with a stray token."""
+    r = draw(st.sampled_from([r for r in range(1, 7) if _accepts(map_id, r)]))
+    lines = draw(
+        st.lists(st.integers(0, 7).flatmap(lambda n: st.sampled_from(_domain_lines(map_id, r, n))), max_size=6)
+    )
+    way = draw(st.sampled_from(["order", "family", "token"]))
+    if way == "order":
+        pool = [line.split(" ") for n in range(2, 8) for line in _domain_lines(map_id, r, n)]
+        tokens = draw(st.sampled_from([t for t in pool if t[0] != t[-1]]))
+        bad = " ".join(reversed(tokens))
+    elif way == "family":
+        others = [
+            obj
+            for kind, kind_r in (("p", None), ("pbar", None), ("po2", 2), ("po2", 4))
+            for n in range(1, 6)
+            for obj in enumerate_family(Family(kind, kind_r), n)
+        ]
+        bad = draw(
+            st.sampled_from(others).map(lambda obj: obj.text()).filter(
+                lambda text: text not in _domain_lines(map_id, r, sum(_sizes(text)))
+            )
+        )
+    else:
+        tokens = draw(st.sampled_from(_domain_lines(map_id, r, draw(st.integers(1, 7))))).split(" ")
+        at = draw(st.integers(0, len(tokens)))
+        bad = " ".join(tokens[:at] + [draw(st.sampled_from(STRAY_TOKENS))] + tokens[at:])
+    at = draw(st.integers(0, len(lines)))
+    return r, lines[:at], bad, lines[at:]
+
+
+def _accepts(map_id, r):
+    try:
+        bijections.map_families(map_id, r)
+    except ValueError:
+        return False
+    return True
+
+
+def _sizes(text):
+    return [int(token.lstrip("~").split("_")[0]) for token in text.split(" ")]
+
+
+@pytest.mark.parametrize("map_id", sorted(bijections.MAPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rejected_line_stops_the_stream(map_id, data):
+    r, before, bad, after = data.draw(rejected_stream(map_id))
+    stdin = "".join(line + "\n" for line in before + [bad] + after)
+    code, out, err = run(["map", "--bijection", map_id, "--r", str(r)], stdin)
+    parse = cli._PARSERS[map_id]
+    images = [bijections.MAPS[map_id](parse(line, r), r).text() for line in before]
+    assert code == 2
+    assert err.startswith(f"error: line {len(before) + 1}: ") and err.count("\n") == 1, err
+    assert out == "".join(image + "\n" for image in images)

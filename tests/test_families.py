@@ -69,6 +69,15 @@ class TestOverpartitionType:
             assert Overpartition.from_text(text).text() == text
 
     @given(overpartitions)
+    def test_text_matches_the_sorted_reference(self, op):
+        # the rendering before text() merged the two tuples: sort all tokens
+        tokens = sorted(
+            [(s, True) for s in op.overlined] + [(s, False) for s in op.plain], reverse=True
+        )
+        assert op.tokens() == tokens
+        assert op.text() == (" ".join(f"~{s}" if over else str(s) for s, over in tokens) or "-")
+
+    @given(overpartitions)
     def test_text_parses_back(self, op):
         assert Overpartition.from_text(op.text()) == op
 

@@ -218,3 +218,28 @@ class TestGlaisher:
                 assert glaisher_merge(glaisher_split(p)) == p
             if all(x % 2 == 1 for x in p.parts):
                 assert glaisher_split(glaisher_merge(p)) == p
+
+
+class TestOutputsAreCanonical:
+    """These maps build their result without the public constructor; it must
+    equal the constructor's rebuild of the same parts."""
+
+    @given(partitions)
+    def test_conjugate(self, p):
+        result = conjugate(p)
+        assert result == Partition(result.parts)
+
+    @given(partitions, partitions)
+    def test_oplus(self, a, b):
+        result = oplus(a, b)
+        assert result == Partition(result.parts)
+
+    @given(distinct_partitions)
+    def test_glaisher_split(self, d):
+        result = glaisher_split(d)
+        assert result == Partition(result.parts)
+
+    @given(odd_partitions)
+    def test_glaisher_merge(self, o):
+        result = glaisher_merge(o)
+        assert result == Partition(result.parts)
