@@ -17,7 +17,11 @@ one: a walk over partitions in descending lexicographic order uses only the
 sizes the family allows (each size that must be overlined at most once),
 and each partition it yields fans out into its admissible overline or color
 patterns; ``pmex`` keeps the partitions whose blocks show a mex run of
-length >= r.  The membership predicates stay the definition of every
+length >= r.  The walk is iterative: one explicit stack of (size,
+multiplicity) blocks, filled greedily and backtracked, yields each
+partition as soon as it is complete.  The ``pmex`` counts of one weight for
+every r come from a single walk that tallies each partition at the length
+of its mex run.  The membership predicates stay the definition of every
 family: the tests check each generator against the unrestricted base family
 filtered through :func:`is_member`.  Generators wrap their already canonical
 output with the private ``_trusted`` constructors, which skip the sorting
@@ -35,7 +39,8 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+from math import inf
 from typing import Iterable, Iterator
 
 from .partitions import Partition, _descending, _from_text, _require_int, mex_sequence
@@ -238,7 +243,7 @@ def is_member(family: Family, obj: object) -> bool:
     if kind == "pe":
         return not any(x % 2 == 0 and x < r for x in obj.parts)
     if kind == "po2":
-        return all(color == 1 or size > r for size, color in obj.parts)
+        return obj.r == r and all(color == 1 or size > r for size, color in obj.parts)
     return True
 
 
@@ -249,23 +254,39 @@ def _walk(n: int, limit: int, skip, once) -> Iterator[tuple[tuple[int, int], ...
 
     The largest size comes first and, for it, the most copies first, which
     is descending lexicographic order on the parts (Knuth, TAOCP 4A,
-    7.2.1.4).  A block that uses up the remainder ends its partition and is
-    yielded at once; a block of size 1 that does not is a dead end.  So the
-    walk recurses only into a positive remainder with sizes left to fill it.
+    7.2.1.4, Algorithm P in block form).  One explicit stack of blocks
+    holds the partition being built: the remainder is filled greedily,
+    each block taking the largest allowed size and as many copies as fit,
+    and a full stack is yielded.  Then the last block gives up one copy
+    (or is popped when it has one) and the filling resumes below its size.
+    A remainder that no smaller allowed size can fill is a dead end and is
+    backtracked the same way.
     """
-    if n == 0:
-        yield ()
-        return
-    for size in range(min(n, limit), 0, -1):
-        if size in skip:
-            continue
-        for mult in range(1 if size in once else n // size, 0, -1):
-            rest = n - mult * size
-            if rest == 0:
-                yield ((size, mult),)
-            elif size > 1:
-                for tail in _walk(rest, size - 1, skip, once):
-                    yield ((size, mult),) + tail
+    blocks: list[tuple[int, int]] = []
+    rest, size = n, limit  # size: the largest the next block may take
+    while True:
+        while rest:
+            if size > rest:
+                size = rest
+            while size and size in skip:
+                size -= 1
+            if not size:
+                break
+            mult = 1 if size in once else rest // size
+            blocks.append((size, mult))
+            rest -= size * mult
+            size -= 1
+        if not rest:
+            yield tuple(blocks)
+        if not blocks:
+            return
+        size, mult = blocks[-1]
+        rest += size
+        if mult > 1:
+            blocks[-1] = (size, mult - 1)
+        else:
+            blocks.pop()
+        size -= 1
 
 
 def _flat(blocks) -> Partition:
@@ -275,15 +296,17 @@ def _flat(blocks) -> Partition:
     return Partition._trusted(parts)
 
 
-def _mex_run_at_least(blocks, r: int) -> bool:
+def _mex_run(blocks) -> float:
+    """Length of the mex run of a block walk's partition; ``inf`` when no
+    part lies above the mex."""
     # Sizes ascend from the last block: the mex m is the first gap, and the
-    # run reaches r iff the first size above m is >= m + r (or none is).
+    # run ends at the first size above m.
     m = 1
     for size, _ in reversed(blocks):
         if size > m:
-            return size >= m + r
+            return size - m
         m += 1
-    return True
+    return inf
 
 
 def _overlined(n: int, forced) -> Iterator[Overpartition]:
@@ -330,8 +353,23 @@ def _members(family: Family, n: int) -> Iterator:
         return _po2(n, r)
     blocks = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
     if kind == "pmex":
-        blocks = (b for b in blocks if _mex_run_at_least(b, r))
+        blocks = (b for b in blocks if _mex_run(b) >= r)
     return map(_flat, blocks)
+
+
+def _pmex_counts(n: int, max_r: int) -> list[int]:
+    """``counts[r]`` is the number of weight-``n`` members of ``pmex`` at r
+    for 1 <= r <= max_r (``counts[0]`` counts every partition of ``n``),
+    from one walk over the partitions of ``n``.
+
+    A partition whose mex run has length L is in ``pmex`` for every r <= L,
+    so the walk tallies each partition at min(L, max_r), and ``counts[r]``
+    is the sum of the tally from r up.
+    """
+    tally = [0] * (max_r + 1)
+    for blocks in _walk(n, n, (), ()):
+        tally[min(_mex_run(blocks), max_r)] += 1
+    return list(accumulate(reversed(tally)))[::-1]
 
 
 def enumerate_family(family: Family, n: int) -> tuple:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .bijections import INVERSE, MAPS, map_families
-from .families import Family, count_family, enumerate_family, is_member
+from .families import Family, _pmex_counts, count_family, enumerate_family, is_member
 from .partitions import _require_int, conjugate, glaisher_split
 from .qseries import gf_pmex
 
@@ -70,24 +70,34 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
     For each 0 <= n <= max_n and 1 <= r <= max_r the ``pmex`` count must
     equal the generating-function coefficient and the count of every other
     family that accepts r: ``obar``, plus ``pe`` for odd r or ``po2`` for
-    even r.
+    even r.  The ``pmex`` counts of one n, for every r, come from a single
+    walk over the partitions of n.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
     series = {r: gf_pmex(r, max_n) for r in range(1, max_r + 1)}
+    others = {r: _families_accepting(r, ("obar", "pe", "po2")) for r in range(1, max_r + 1)}
     checks = []
     for n in range(max_n + 1):
+        pmex = _pmex_counts(n, max_r)
         for r in range(1, max_r + 1):
             params = f"n={n} r={r}"
-            base = count_family(Family("pmex", r), n)
+            base = pmex[r]
             checks.append(Check("pmex count = series coefficient", params, series[r][n], base))
-            for kind in ("obar", "pe", "po2"):
-                try:
-                    family = Family(kind, r)
-                except ValueError:
-                    continue
-                checks.append(Check(f"{kind} count = pmex count", params, base, count_family(family, n)))
+            for family in others[r]:
+                checks.append(Check(f"{family.kind} count = pmex count", params, base, count_family(family, n)))
     return VerificationReport(tuple(checks))
+
+
+def _families_accepting(r: int, kinds) -> list[Family]:
+    """The families of ``kinds`` that accept ``r``, in the order given."""
+    families = []
+    for kind in kinds:
+        try:
+            families.append(Family(kind, r))
+        except ValueError:
+            continue
+    return families
 
 
 def _roundtrip_checks(checks, name, params, r, domain, codomain, forward, inverse):

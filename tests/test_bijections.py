@@ -153,6 +153,15 @@ class TestEvenMaps:
         with pytest.raises(ValueError):
             even_inverse(Overpartition([], [4]), 2)  # plain part must be odd
 
+    def test_colored_partition_must_carry_the_maps_r(self):
+        # 5_2 is admissible at both r = 2 and r = 4, but an object built at
+        # r = 2 is not a member of po2 at r = 4; accepting it made
+        # even_inverse return an object unequal to the input.
+        with pytest.raises(ValueError, match=r"'5_2' is not in family 'po2' at r=4"):
+            even_forward(ColoredPartition([(5, 2)], 2), 4)
+        image = even_forward(ColoredPartition([(5, 2)], 4), 4)
+        assert even_inverse(image, 4) == ColoredPartition([(5, 2)], 4)
+
 
 class TestRoundTrips:
     def test_mex_pair_exhaustive(self):

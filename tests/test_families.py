@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mexpart import (
     ColoredPartition,
@@ -13,6 +13,7 @@ from mexpart import (
     is_member,
     mex_sequence,
 )
+from mexpart.families import _pmex_counts, _walk
 
 overpartitions = st.builds(
     Overpartition,
@@ -375,6 +376,56 @@ class TestGeneratorsMatchTheFilter:
                     assert rebuild[type(x)](x) == x, (family, x)
 
 
+def recursive_walk(n, limit, skip, once):
+    """The recursive block walk that ``families._walk`` replaced, kept as the
+    reference for its order: the same blocks, passed up one frame per
+    block."""
+    if n == 0:
+        yield ()
+        return
+    for size in range(min(n, limit), 0, -1):
+        if size in skip:
+            continue
+        for mult in range(1 if size in once else n // size, 0, -1):
+            rest = n - mult * size
+            if rest == 0:
+                yield ((size, mult),)
+            elif size > 1:
+                for tail in recursive_walk(rest, size - 1, skip, once):
+                    yield ((size, mult),) + tail
+
+
+size_sets = st.one_of(
+    st.frozensets(st.integers(min_value=1, max_value=31), max_size=8),
+    st.sampled_from([(), range(2, 31, 2), range(1, 31, 2), frozenset(range(1, 31))]),
+)
+
+
+class TestBlockWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=31), size_sets, size_sets)
+    # Dead ends: an odd remainder with 1 skipped, a remainder left after the
+    # single allowed 1, and no allowed size at all below the first block.
+    @example(11, 11, frozenset({1}), ())
+    @example(9, 9, (), frozenset({1}))
+    @example(7, 7, frozenset(range(1, 5)), ())
+    @example(30, 30, range(2, 31, 2), frozenset({1, 3}))
+    @example(30, 30, (), ())
+    def test_equals_the_recursive_walk(self, n, limit, skip, once):
+        assert list(_walk(n, limit, skip, once)) == list(recursive_walk(n, limit, skip, once))
+
+
+class TestPmexTally:
+    def test_equals_enumeration(self):
+        # r up to 10 includes, for every n <= 10, an r that no finite mex run
+        # reaches, so only the infinite runs count there.
+        for n in range(25):
+            expected = [count_family(Family("p"), n)]
+            expected += [count_family(Family("pmex", r), n) for r in range(1, 11)]
+            for max_r in range(11):
+                assert _pmex_counts(n, max_r) == expected[: max_r + 1], (n, max_r)
+
+
 class TestIsMember:
     def test_type_mismatch_is_not_membership(self):
         assert not is_member(Family("p"), Overpartition([1], []))
@@ -394,3 +445,5 @@ class TestIsMember:
     def test_po2_predicate(self):
         assert is_member(Family("po2", 2), ColoredPartition([(3, 2)], 2))
         assert not is_member(Family("po2", 4), ColoredPartition([(3, 2)], 2))
+        assert not is_member(Family("po2", 4), ColoredPartition([(5, 2)], 2))  # r must match
+        assert is_member(Family("po2", 4), ColoredPartition([(5, 2)], 4))
