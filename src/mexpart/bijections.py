@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .families import ColoredPartition, Family, Overpartition, _colored_order, is_member
-from .partitions import Partition, _merge, _require_int, _split, conjugate, mex_sequence, oplus
+from .families import _SIZE, ColoredPartition, Family, Overpartition, is_member
+from .partitions import INFINITE, Partition, _merge, _mex_and_run, _require_int, _split, conjugate, oplus
 
 __all__ = [
     "SigmaDecomposition",
@@ -64,9 +64,14 @@ def _check_domain(map_id: str, obj, r: int) -> None:
 
 
 def _outside(domain: Family, obj) -> ValueError:
-    """The error for ``obj`` outside ``domain``; any value may be passed."""
+    """The error for ``obj`` outside ``domain``; any value may be passed.
+    A colored partition built at another r says so, since its text alone
+    may be admissible at the domain's r."""
     shown = obj.text() if isinstance(obj, (Partition, Overpartition, ColoredPartition)) else obj
-    return ValueError(f"{shown!r} is not in family {domain.kind!r} at r={domain.r}")
+    message = f"{shown!r} is not in family {domain.kind!r} at r={domain.r}"
+    if domain.kind == "po2" and isinstance(obj, ColoredPartition) and obj.r != domain.r:
+        message += f"; it was built at r={obj.r}"
+    return ValueError(message)
 
 
 def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
@@ -82,12 +87,12 @@ def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
     _require_int(r, 1, "r")
     if not isinstance(kappa, Partition):
         raise ValueError(f"sigma_decompose needs a Partition, got {kappa!r}")
-    run = mex_sequence(kappa)
-    if run.is_infinite or run.length < r:
+    m, run = _mex_and_run(kappa.parts)
+    if run is INFINITE or run < r:
         raise ValueError(
             f"partition {kappa.text()!r} needs a finite mex run of length >= {r}"
         )
-    delta, sigma = _sigma_parts(kappa.parts, run.start, r)
+    delta, sigma = _sigma_parts(kappa.parts, m, r)
     return SigmaDecomposition(Partition._trusted(delta), Partition._trusted(sigma), r)
 
 
@@ -126,12 +131,14 @@ def mex_forward(kappa: Partition, r: int) -> Overpartition:
     into the overlined parts and the padding summand stays plain.
     """
     domain, _ = map_families("t5", r)  # the domain check is the mex run below
-    run = mex_sequence(kappa) if isinstance(kappa, Partition) else None
-    if run is None or not run.at_least(r):
+    if not isinstance(kappa, Partition):
         raise _outside(domain, kappa)
-    if run.is_infinite:
+    m, run = _mex_and_run(kappa.parts)
+    if run is INFINITE:
         return Overpartition._trusted(conjugate(kappa).parts, ())
-    delta, sigma = _sigma_parts(kappa.parts, run.start, r)
+    if run < r:
+        raise _outside(domain, kappa)
+    delta, sigma = _sigma_parts(kappa.parts, m, r)
     return Overpartition._trusted(conjugate(Partition._trusted(sigma)).parts, delta)
 
 
@@ -175,7 +182,8 @@ def even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     first-color sizes and give the plain parts the second color."""
     _check_domain("eveninv", op, r)
     parts = [(s, 1) for s in _split(op.overlined)] + [(s, 2) for s in op.plain]
-    parts.sort(key=_colored_order)
+    # Stable, so each size keeps its first-color copies ahead of the second.
+    parts.sort(key=_SIZE, reverse=True)
     return ColoredPartition._trusted(tuple(parts), r)
 
 

@@ -41,6 +41,14 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # case), writes about 8 MB and peaks at 21 MB resident (2-CPU shared x86-64
 # host, CPython 3.11).
 MAX_DEGREE = 50_000
+# The largest --n of `count` and `enumerate`, and the largest --max-n of
+# `verify`; above them the command exits 2.  A family grows about 1.25-fold
+# per unit of n, `pbar` the fastest.  At the ceilings, `enumerate --family
+# pbar --n 42` takes 5.9 s at a 16 MB peak, `count --family pbar --n 42`
+# 4.0 s at 464 MB (`count` holds every member), and `verify --max-n 32
+# --max-r 8` 5.4 s at 21 MB (2-CPU shared x86-64 host, CPython 3.11).
+MAX_N = 42
+MAX_VERIFY_N = 32
 # Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
 # buffer, the stages of `enumerate | map | map` sharing one CPU wake each
 # other so often that the chain took 18% longer than with 64 KiB (perfbench
@@ -122,16 +130,23 @@ def _record(obj) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _emit(obj, fmt: str) -> None:
-    print(_record(obj) if fmt == "jsonl" else obj.text())
+def _emitter(fmt: str):
+    """``emit(obj)``: write one object's line to the current stdout."""
+    write = sys.stdout.write
+    if fmt == "jsonl":
+        return lambda obj: write(_record(obj) + "\n")
+    return lambda obj: write(obj.text() + "\n")
 
 
 def _iter_lines(stdin) -> Iterable[str]:
+    """The lines of ``stdin``, each with its newline if it has one.  A string
+    splits only at line feeds, as ``sys.stdin`` does, so ``run`` and the
+    ``mexpart`` command see the same lines."""
     if stdin is None:
         return ()
     if isinstance(stdin, str):
-        return stdin.splitlines()
-    return (line.rstrip("\n") for line in stdin)
+        return io.StringIO(stdin)
+    return stdin
 
 
 def _default_degree() -> int:
@@ -150,15 +165,24 @@ def _default_degree() -> int:
     return degree
 
 
+def _at_most(value: int, ceiling: int, option: str) -> int:
+    if value > ceiling:
+        raise ValueError(f"{option} must be at most {ceiling}, got {value}")
+    return value
+
+
 def _cmd_count(args, stdin) -> int:
-    print(count_family(Family(args.family, args.r), args.n))
+    n = _at_most(args.n, MAX_N, "--n")
+    print(count_family(Family(args.family, args.r), n))
     return 0
 
 
 def _cmd_enumerate(args, stdin) -> int:
+    n = _at_most(args.n, MAX_N, "--n")
     # lazily, so the first member is printed before the last is built
-    for obj in _members(Family(args.family, args.r), args.n):
-        _emit(obj, args.format)
+    emit = _emitter(args.format)
+    for obj in _members(Family(args.family, args.r), n):
+        emit(obj)
     return 0
 
 
@@ -169,29 +193,29 @@ def _cmd_map(args, stdin) -> int:
         raise ValueError(f"--bijection {args.bijection} --r {args.r}: {exc}") from exc
     apply_map = _MAPS[args.bijection]
     parse = _PARSERS[args.bijection]
-    for lineno, raw in enumerate(_iter_lines(stdin), start=1):
-        text = raw.strip()
-        if not text:
+    emit = _emitter(args.format)
+    r = args.r
+    for lineno, line in enumerate(_iter_lines(stdin), start=1):
+        if not line or line.isspace():  # a blank line; the parser strips the rest
             continue
         try:
-            image = apply_map(parse(text, args.r), args.r)
+            image = apply_map(parse(line, r), r)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        _emit(image, args.format)
+        emit(image)
     return 0
 
 
 def _cmd_gf(args, stdin) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
-    if degree > MAX_DEGREE:
-        source = DEGREE_ENV_VAR if args.degree is None else "--degree"
-        raise ValueError(f"{source} must be at most {MAX_DEGREE}, got {degree}")
+    _at_most(degree, MAX_DEGREE, DEGREE_ENV_VAR if args.degree is None else "--degree")
     for n, value in enumerate(gf_pmex(args.r, degree).coeffs):
         print(f"{n}\t{value}")
     return 0
 
 
 def _cmd_verify(args, stdin) -> int:
+    _at_most(args.max_n, MAX_VERIFY_N, "--max-n")
     counts = oracle.verify_counts(args.max_n, args.max_r)
     trips = oracle.verify_roundtrips(args.max_n, args.max_r)
     for report in (counts, trips):

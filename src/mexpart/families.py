@@ -39,11 +39,14 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, product
 from math import inf
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .partitions import Partition, _descending, _from_text, _require_int, mex_sequence
+from .partitions import _colored_arguments, _overpartition_arguments
 
 __all__ = [
     "ColoredPartition",
@@ -62,7 +65,7 @@ class Overpartition:
 
     def __init__(self, overlined: Iterable[int] = (), plain: Iterable[int] = ()):
         over, rest = _descending(overlined), _descending(plain)
-        if any(a == b for a, b in zip(over, over[1:])):
+        if len(set(over)) != len(over):
             raise ValueError("overlined parts must be distinct")
         self.overlined: tuple[int, ...] = over
         self.plain: tuple[int, ...] = rest
@@ -109,7 +112,15 @@ class Overpartition:
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``~6 ~4 ~3 3 3 ~2 ~1``; `-` when empty."""
-        words = [f"~{s}" if over else str(s) for s, over in self.tokens()]
+        # The merge of :meth:`tokens`, writing each word as it goes.
+        over, words = self.overlined, []
+        i, count = 0, len(over)
+        for size in self.plain:
+            while i < count and over[i] >= size:
+                words.append(f"~{over[i]}")
+                i += 1
+            words.append(str(size))
+        words += [f"~{size}" for size in over[i:]]
         return " ".join(words) if words else "-"
 
     @classmethod
@@ -124,7 +135,13 @@ class ColoredPartition:
     __slots__ = ("parts", "r")
 
     def __init__(self, parts: Iterable[tuple[int, int]] = (), r: int = 2):
-        Family("po2", r)
+        # Family holds the r rule.  An exact int r is checked once per value;
+        # any other r is checked every time, since 2.0 and True hash like 2
+        # and 1 but are refused.
+        if type(r) is int:
+            _po2_family(r)
+        else:
+            Family("po2", r)
         ordered = list(parts)
         for part in ordered:
             if not isinstance(part, tuple) or len(part) != 2:
@@ -136,7 +153,10 @@ class ColoredPartition:
                 raise ValueError(f"colors must be 1 or 2, got {color!r}")
             if color == 2 and size <= r:
                 raise ValueError(f"second color needs size > {r}, got {size}")
-        ordered.sort(key=_colored_order)
+        # Canonical order, size descending and then color ascending, from
+        # two stable sorts with C-level keys.
+        ordered.sort(key=_COLOR)
+        ordered.sort(key=_SIZE, reverse=True)
         self.parts: tuple[tuple[int, int], ...] = tuple(ordered)
         self.r = r
 
@@ -168,31 +188,21 @@ class ColoredPartition:
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``5_2 1_1``; `-` when empty."""
-        if not self.parts:
-            return "-"
-        return " ".join(f"{size}_{color}" for size, color in self.parts)
+        return " ".join([f"{size}_{color}" for size, color in self.parts]) if self.parts else "-"
 
     @classmethod
     def from_text(cls, text: str, r: int) -> "ColoredPartition":
         """Parse one line: exactly what :meth:`text` prints, nothing else."""
-        return _from_text(cls, text, lambda tokens: ([_colored_part(t) for t in tokens],), r)
+        return _from_text(cls, text, _colored_arguments, r)
 
 
-def _colored_order(part: tuple[int, int]) -> tuple[int, int]:
-    """Sort key of the canonical order of colored parts: size descending,
-    then color ascending."""
-    return -part[0], part[1]
+_SIZE, _COLOR = itemgetter(0), itemgetter(1)
 
 
-def _overpartition_arguments(tokens: list[str]) -> tuple[list[int], list[int]]:
-    """(overlined, plain) sizes of ``~6 3``-style tokens."""
-    return [int(t[1:]) for t in tokens if t[:1] == "~"], [int(t) for t in tokens if t[:1] != "~"]
-
-
-def _colored_part(token: str) -> tuple[int, int]:
-    """(size, color) of a ``5_2``-style token."""
-    size, color = token.split("_")
-    return int(size), int(color)
+@lru_cache(maxsize=16)
+def _po2_family(r: int) -> "Family":
+    """``Family("po2", r)``, built (and so checked) once per int r."""
+    return Family("po2", r)
 
 
 # Member type of each family kind, in the order the command line lists them.

@@ -6,14 +6,16 @@ and every operation is a pure function, so concurrent use is safe.
 
 The printer is the textual grammar of every object type: ``from_text``
 accepts a line iff its tokens convert, the public constructor accepts the
-result and that object's ``text()`` gives back the stripped line.
+result and that object's ``text()`` gives back the stripped line.  Tokens
+convert through bounded memos (``TOKEN_MEMO_SIZE`` strings per type) that
+stand in for ``int`` and decide nothing about the line.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
+from functools import lru_cache
+from operator import add
 from typing import Iterable
 
 __all__ = [
@@ -74,12 +76,12 @@ class Partition:
 
     def text(self) -> str:
         """Canonical textual form: space-separated parts, `-` when empty."""
-        return " ".join(str(p) for p in self.parts) if self.parts else "-"
+        return " ".join(map(str, self.parts)) if self.parts else "-"
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
         """Parse one line: exactly what :meth:`text` prints, nothing else."""
-        return _from_text(cls, text, lambda tokens: ([int(token) for token in tokens],))
+        return _from_text(cls, text, _partition_arguments)
 
 
 def _descending(parts: Iterable[int]) -> tuple[int, ...]:
@@ -99,6 +101,52 @@ def _require_int(value, least: int, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
+
+
+# The most token strings each parser's memo holds.  A memo maps a token to
+# what ``int`` makes of its pieces, a pure function of the string, so a line
+# gets the same verdict and message whether its tokens are cached or not;
+# only the printed-form check in ``_from_text`` decides what is canonical.
+# One stream of objects reuses few tokens (the partitions of 34 use 34
+# sizes), so nearly every lookup hits, and the bound keeps a stream of fresh
+# tokens from growing a memo.
+TOKEN_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _size_token(token: str) -> int:
+    """The part of a ``Partition`` token such as ``7``."""
+    return int(token)
+
+
+@lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _overpartition_token(token: str) -> tuple[int, bool]:
+    """(size, overlined) of an ``Overpartition`` token such as ``~6`` or ``3``."""
+    return (int(token[1:]), True) if token[:1] == "~" else (int(token), False)
+
+
+@lru_cache(maxsize=TOKEN_MEMO_SIZE)
+def _colored_token(token: str) -> tuple[int, int]:
+    """(size, color) of a ``ColoredPartition`` token such as ``5_2``."""
+    size, color = token.split("_")
+    return int(size), int(color)
+
+
+def _partition_arguments(tokens: list[str]) -> tuple[list[int]]:
+    return (list(map(_size_token, tokens)),)
+
+
+def _overpartition_arguments(tokens: list[str]) -> tuple[list[int], list[int]]:
+    overlined: list[int] = []
+    plain: list[int] = []
+    for token in tokens:
+        size, over = _overpartition_token(token)
+        (overlined if over else plain).append(size)
+    return overlined, plain
+
+
+def _colored_arguments(tokens: list[str]) -> tuple[list[tuple[int, int]]]:
+    return (list(map(_colored_token, tokens)),)
 
 
 def _from_text(cls, text: str, arguments, *context):
@@ -157,31 +205,43 @@ class MexSequence:
 
 def mex(p: Partition) -> int:
     """Least positive integer that is not a part of ``p``."""
-    present = set(p.parts)
-    m = 1
-    while m in present:
-        m += 1
-    return m
+    return _mex_and_run(p.parts)[0]
 
 
 def mex_sequence(p: Partition) -> MexSequence:
     """The mex run of ``p``: infinite iff no part exceeds the mex."""
-    start = mex(p)
-    above = [x for x in p.parts if x > start]
-    if not above:
-        return MexSequence(start, INFINITE)
-    return MexSequence(start, min(above) - start)
+    return MexSequence(*_mex_and_run(p.parts))
+
+
+def _mex_and_run(parts: tuple[int, ...]) -> tuple[int, int | _InfiniteLength]:
+    """(start, length) of the mex run of descending ``parts``.
+
+    One scan from the smallest part up: the mex m is the first size the
+    scan skips, and the run ends at the first part above m.
+    """
+    m = 1
+    for part in reversed(parts):
+        if part > m:
+            return m, part - m
+        if part == m:
+            m += 1
+    return m, INFINITE
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Ferrers diagram: part k counts original parts >= k."""
-    parts = p.parts
-    count = len(parts)
-    widths = []
-    for k in range(1, p.largest + 1):
-        while parts[count - 1] < k:
-            count -= 1
-        widths.append(count)
+    """Transpose of the Ferrers diagram: part k counts original parts >= k.
+
+    Read from the smallest part up: the j-th largest part is the width j
+    of every k above the next smaller part and up to itself, so each part
+    extends the output by one run.
+    """
+    widths: list[int] = []
+    below, j = 0, len(p.parts)
+    for part in reversed(p.parts):
+        if part > below:
+            widths += [j] * (part - below)
+            below = part
+        j -= 1
     return Partition._trusted(tuple(widths))
 
 
@@ -194,7 +254,10 @@ def has_no_gaps(p: Partition) -> bool:
 def oplus(a: Partition, b: Partition) -> Partition:
     """Part-wise sum; the shorter operand is padded with zeros.  Both are
     descending, so the sums are too."""
-    return Partition._trusted(tuple([x + y for x, y in zip_longest(a.parts, b.parts, fillvalue=0)]))
+    longer, shorter = (a.parts, b.parts) if len(a.parts) >= len(b.parts) else (b.parts, a.parts)
+    sums = list(map(add, longer, shorter))
+    sums += longer[len(shorter):]
+    return Partition._trusted(tuple(sums))
 
 
 def glaisher_split(p: Partition) -> Partition:
@@ -234,8 +297,11 @@ def _split(parts) -> list[int]:
 
 def _merge(parts) -> list[int]:
     """The parts of :func:`glaisher_merge`, unchecked, as a descending list."""
+    counts: dict[int, int] = {}
+    for part in parts:
+        counts[part] = counts.get(part, 0) + 1
     out = []
-    for base, mult in Counter(parts).items():
+    for base, mult in counts.items():
         scale = 1
         while mult:
             if mult & 1:

@@ -261,6 +261,14 @@ def test_foreign_input_message_names_the_family():
         mex_inverse(None, 2)
 
 
+def test_colored_partition_of_another_r_names_its_r():
+    with pytest.raises(ValueError, match=r"^'5_2' is not in family 'po2' at r=4; it was built at r=2$"):
+        even_forward(ColoredPartition([(5, 2)], 2), 4)
+    # outside po2 the r a colored partition carries is not the reason
+    with pytest.raises(ValueError, match=r"^'5_2' is not in family 'obar' at r=4$"):
+        mex_inverse(ColoredPartition([(5, 2)], 2), 4)
+
+
 class TestImagesAreCanonical:
     """The maps build their images without the public constructors; each
     image must still be exactly what those constructors and the parsers

@@ -356,3 +356,50 @@ def test_rejected_line_stops_the_stream(map_id, data):
     assert code == 2
     assert err.startswith(f"error: line {len(before) + 1}: ") and err.count("\n") == 1, err
     assert out == "".join(image + "\n" for image in images)
+
+
+@pytest.mark.parametrize("mark", ["\f", "\r", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_run_splits_lines_as_the_command_does(mark):
+    # str.splitlines() would break `3<mark>2` into two valid lines; stdin
+    # breaks only at \n, so the command refuses line 2 after line 1's image.
+    stdin = f"3 2\n3{mark}2\n1\n"
+    argv = ["map", "--bijection", "t5", "--r", "1"]
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexpart", *argv], input=stdin.encode(), capture_output=True, env=env, timeout=60
+    )
+    command = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    assert command == (2, "2 2 ~1\n", f"error: line 2: not a canonical Partition line: {f'3{mark}2'!r}\n")
+    assert run(argv, stdin) == command
+
+
+@pytest.mark.parametrize(
+    "argv,ceiling,option",
+    [
+        (["count", "--family", "p"], cli.MAX_N, "--n"),
+        (["enumerate", "--family", "pbar"], cli.MAX_N, "--n"),
+        (["verify", "--max-r", "1"], cli.MAX_VERIFY_N, "--max-n"),
+    ],
+)
+def test_size_ceilings(monkeypatch, argv, ceiling, option):
+    # Stubs stand in for the work, so no test enumerates at the ceiling.
+    asked = []
+    monkeypatch.setattr(cli, "count_family", lambda family, n: asked.append(n) or 0)
+    monkeypatch.setattr(cli, "_members", lambda family, n: asked.append(n) or ())
+    report = VerificationReport(())
+    monkeypatch.setattr(cli.oracle, "verify_counts", lambda max_n, max_r: asked.append(max_n) or report)
+    monkeypatch.setattr(cli.oracle, "verify_roundtrips", lambda max_n, max_r: report)
+    code, out, err = run([*argv, option, str(ceiling + 1)])
+    assert (code, out, err) == (2, "", f"error: {option} must be at most {ceiling}, got {ceiling + 1}\n")
+    assert asked == []
+    code, _, err = run([*argv, option, str(ceiling)])
+    assert (code, err) == (0, "")
+    assert asked == [ceiling]
+
+
+def test_size_ceilings_exceed_every_size_in_use():
+    # perfbench enumerates at n = 37 and the tests at n = 40; the acceptance
+    # oracle runs verify_counts(30, 8).
+    assert cli.MAX_N > 40
+    assert cli.MAX_VERIFY_N > 30
