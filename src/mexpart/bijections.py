@@ -87,7 +87,7 @@ def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
     _require_int(r, 1, "r")
     if not isinstance(kappa, Partition):
         raise ValueError(f"sigma_decompose needs a Partition, got {kappa!r}")
-    m, run = _mex_and_run(kappa.parts)
+    m, run = _mex_and_run(reversed(kappa.parts))
     if run is INFINITE or run < r:
         raise ValueError(
             f"partition {kappa.text()!r} needs a finite mex run of length >= {r}"
@@ -133,7 +133,7 @@ def mex_forward(kappa: Partition, r: int) -> Overpartition:
     domain, _ = map_families("t5", r)  # the domain check is the mex run below
     if not isinstance(kappa, Partition):
         raise _outside(domain, kappa)
-    m, run = _mex_and_run(kappa.parts)
+    m, run = _mex_and_run(reversed(kappa.parts))
     if run is INFINITE:
         return Overpartition._trusted(conjugate(kappa).parts, ())
     if run < r:

@@ -28,7 +28,7 @@ from . import oracle
 from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
 from .families import FAMILY_KINDS, MEMBER_TYPES, ColoredPartition, Family, Overpartition
-from .families import _members, count_family
+from .families import _members
 from .partitions import Partition
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
@@ -41,14 +41,17 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # case), writes about 8 MB and peaks at 21 MB resident (2-CPU shared x86-64
 # host, CPython 3.11).
 MAX_DEGREE = 50_000
-# The largest --n of `count` and `enumerate`, and the largest --max-n of
-# `verify`; above them the command exits 2.  A family grows about 1.25-fold
-# per unit of n, `pbar` the fastest.  At the ceilings, `enumerate --family
-# pbar --n 42` takes 5.9 s at a 16 MB peak, `count --family pbar --n 42`
-# 4.0 s at 464 MB (`count` holds every member), and `verify --max-n 32
-# --max-r 8` 5.4 s at 21 MB (2-CPU shared x86-64 host, CPython 3.11).
+# The largest --n of `count` and `enumerate`, and the largest --max-n and
+# --max-r of `verify`; above them the command exits 2.  A family grows about
+# 1.25-fold per unit of n, `pbar` the fastest.  At the ceilings (2-CPU shared
+# x86-64 host, CPython 3.11): `enumerate --family pbar --n 42` 7.2 s at a
+# 16 MB peak, `count --family pbar --n 42` 2.0 s at 16 MB (`count` holds no
+# member), and `verify --max-n 32 --max-r 16` 9.2-11.1 s at 21 MB, against
+# 7.4-9.6 s for `--max-r 8`, the acceptance size.  Unbounded, `verify --max-n
+# 2 --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32
+MAX_VERIFY_R = 16
 # Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
 # buffer, the stages of `enumerate | map | map` sharing one CPU wake each
 # other so often that the chain took 18% longer than with 64 KiB (perfbench
@@ -173,7 +176,8 @@ def _at_most(value: int, ceiling: int, option: str) -> int:
 
 def _cmd_count(args, stdin) -> int:
     n = _at_most(args.n, MAX_N, "--n")
-    print(count_family(Family(args.family, args.r), n))
+    # one member at a time, so the count holds none of them
+    print(sum(1 for _ in _members(Family(args.family, args.r), n)))
     return 0
 
 
@@ -216,6 +220,7 @@ def _cmd_gf(args, stdin) -> int:
 
 def _cmd_verify(args, stdin) -> int:
     _at_most(args.max_n, MAX_VERIFY_N, "--max-n")
+    _at_most(args.max_r, MAX_VERIFY_R, "--max-r")
     counts = oracle.verify_counts(args.max_n, args.max_r)
     trips = oracle.verify_roundtrips(args.max_n, args.max_r)
     for report in (counts, trips):

@@ -16,21 +16,27 @@ Enumeration builds each family by construction, not by filtering a larger
 one: a walk over partitions in descending lexicographic order uses only the
 sizes the family allows (each size that must be overlined at most once),
 and each partition it yields fans out into its admissible overline or color
-patterns; ``pmex`` keeps the partitions whose blocks show a mex run of
-length >= r.  The walk is iterative: one explicit stack of (size,
-multiplicity) blocks, filled greedily and backtracked, yields each
-partition as soon as it is complete.  The ``pmex`` counts of one weight for
-every r come from a single walk that tallies each partition at the length
-of its mex run.  The membership predicates stay the definition of every
-family: the tests check each generator against the unrestricted base family
-filtered through :func:`is_member`.  Generators wrap their already canonical
-output with the private ``_trusted`` constructors, which skip the sorting
-and checks of the public ones.
+patterns.  ``pmex`` keeps the partitions whose mex run has length >= r, an
+open run counting as long enough: the walk's block sizes, read from the
+smallest, go through the same scan as :func:`~mexpart.mex_sequence`, and
+the filter applies the rule of ``MexSequence.at_least``.  The walk is
+iterative: one explicit stack of (size, multiplicity) blocks, filled
+greedily and backtracked, yields each partition as soon as it is complete.
+The ``pmex`` counts of one weight for every r come from a single walk that
+tallies each partition at the length of its mex run.  ``_check_r`` holds
+the r rule, for :class:`Family` and :class:`ColoredPartition` alike.
+
+The membership predicates stay the definition of every family: the tests
+check each generator against the unrestricted base family filtered through
+:func:`is_member`.  Generators wrap their already canonical output with the
+private ``_trusted`` constructors, which skip the sorting and checks of the
+public ones.
 
 The fixed enumeration order is descending lexicographic on the part sizes,
 with ties broken by the overline/color pattern (plain before overlined,
 first color before second).  :func:`enumerate_family` returns a tuple;
-the command line streams from the same generators.
+the command line streams (and ``count`` counts) from the same generators
+without holding them.
 
 Each member type prints one canonical line (``~6 ~4 3 3``, ``5_2 1_1``)
 and its ``from_text`` accepts exactly the lines ``text()`` prints.
@@ -39,14 +45,12 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, product
-from math import inf
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .partitions import Partition, _descending, _from_text, _require_int, mex_sequence
-from .partitions import _colored_arguments, _overpartition_arguments
+from .partitions import _colored_arguments, _mex_and_run, _overpartition_arguments, _run_at_least
 
 __all__ = [
     "ColoredPartition",
@@ -82,21 +86,6 @@ class Overpartition:
     def weight(self) -> int:
         return sum(self.overlined) + sum(self.plain)
 
-    def tokens(self) -> list[tuple[int, bool]]:
-        """(size, overlined) pairs in print order: sizes descending, the
-        overlined copy first within a size."""
-        # One merge of the two descending tuples: a plain part goes first
-        # only when it is larger than the next overlined one.
-        over, out = self.overlined, []
-        i, count = 0, len(over)
-        for size in self.plain:
-            while i < count and over[i] >= size:
-                out.append((over[i], True))
-                i += 1
-            out.append((size, False))
-        out += [(size, True) for size in over[i:]]
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Overpartition)
@@ -111,8 +100,12 @@ class Overpartition:
         return f"Overpartition({list(self.overlined)!r}, {list(self.plain)!r})"
 
     def text(self) -> str:
-        """Canonical textual form, e.g. ``~6 ~4 ~3 3 3 ~2 ~1``; `-` when empty."""
-        # The merge of :meth:`tokens`, writing each word as it goes.
+        """Canonical textual form, e.g. ``~6 ~4 ~3 3 3 ~2 ~1``; `-` when empty.
+
+        Print order is sizes descending, the overlined copy first within a
+        size: one merge of the two descending tuples, in which a plain part
+        goes first only when it is larger than the next overlined one.
+        """
         over, words = self.overlined, []
         i, count = 0, len(over)
         for size in self.plain:
@@ -135,13 +128,7 @@ class ColoredPartition:
     __slots__ = ("parts", "r")
 
     def __init__(self, parts: Iterable[tuple[int, int]] = (), r: int = 2):
-        # Family holds the r rule.  An exact int r is checked once per value;
-        # any other r is checked every time, since 2.0 and True hash like 2
-        # and 1 but are refused.
-        if type(r) is int:
-            _po2_family(r)
-        else:
-            Family("po2", r)
+        _check_r("po2", r)
         ordered = list(parts)
         for part in ordered:
             if not isinstance(part, tuple) or len(part) != 2:
@@ -199,12 +186,6 @@ class ColoredPartition:
 _SIZE, _COLOR = itemgetter(0), itemgetter(1)
 
 
-@lru_cache(maxsize=16)
-def _po2_family(r: int) -> "Family":
-    """``Family("po2", r)``, built (and so checked) once per int r."""
-    return Family("po2", r)
-
-
 # Member type of each family kind, in the order the command line lists them.
 MEMBER_TYPES = {
     "p": Partition, "pbar": Overpartition,
@@ -216,28 +197,31 @@ FAMILY_KINDS = tuple(MEMBER_TYPES)
 
 @dataclass(frozen=True)
 class Family:
-    """Identifier for one of the named counting families.
-
-    The one place that knows which kinds take ``r`` and which need it odd
-    (``pe``) or even (``po2``); a bijection's r rule is that of its domain
-    and codomain families.
-    """
+    """Identifier for one of the named counting families, checked by
+    :func:`_check_r`; a bijection's r rule is that of its domain and
+    codomain families."""
 
     kind: str
     r: int | None = None
 
     def __post_init__(self):
-        if self.kind not in MEMBER_TYPES:
-            raise ValueError(f"unknown family {self.kind!r}")
-        if self.kind in ("p", "pbar"):
-            if self.r is not None:
-                raise ValueError(f"family {self.kind!r} takes no parameter r")
-            return
-        _require_int(self.r, 1, f"r of family {self.kind!r}")
-        if self.kind == "pe" and self.r % 2 == 0:
-            raise ValueError(f"family 'pe' needs odd r, got {self.r}")
-        if self.kind == "po2" and self.r % 2 == 1:
-            raise ValueError(f"family 'po2' needs even r, got {self.r}")
+        _check_r(self.kind, self.r)
+
+
+def _check_r(kind: str, r) -> None:
+    """The r rule: the one place that knows which family kinds take ``r``
+    and which need it odd (``pe``) or even (``po2``)."""
+    if kind not in MEMBER_TYPES:
+        raise ValueError(f"unknown family {kind!r}")
+    if kind in ("p", "pbar"):
+        if r is not None:
+            raise ValueError(f"family {kind!r} takes no parameter r")
+        return
+    _require_int(r, 1, f"r of family {kind!r}")
+    if kind == "pe" and r % 2 == 0:
+        raise ValueError(f"family 'pe' needs odd r, got {r}")
+    if kind == "po2" and r % 2 == 1:
+        raise ValueError(f"family 'po2' needs even r, got {r}")
 
 
 def is_member(family: Family, obj: object) -> bool:
@@ -306,19 +290,6 @@ def _flat(blocks) -> Partition:
     return Partition._trusted(parts)
 
 
-def _mex_run(blocks) -> float:
-    """Length of the mex run of a block walk's partition; ``inf`` when no
-    part lies above the mex."""
-    # Sizes ascend from the last block: the mex m is the first gap, and the
-    # run ends at the first size above m.
-    m = 1
-    for size, _ in reversed(blocks):
-        if size > m:
-            return size - m
-        m += 1
-    return inf
-
-
 def _overlined(n: int, forced) -> Iterator[Overpartition]:
     # Each block is plain or has one overlined copy, except that a size in
     # ``forced`` occurs once and is always overlined.  Plain before
@@ -362,8 +333,8 @@ def _members(family: Family, n: int) -> Iterator:
     if kind == "po2":
         return _po2(n, r)
     blocks = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
-    if kind == "pmex":
-        blocks = (b for b in blocks if _mex_run(b) >= r)
+    if kind == "pmex":  # block sizes ascend from the last block
+        blocks = (b for b in blocks if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
     return map(_flat, blocks)
 
 
@@ -378,7 +349,8 @@ def _pmex_counts(n: int, max_r: int) -> list[int]:
     """
     tally = [0] * (max_r + 1)
     for blocks in _walk(n, n, (), ()):
-        tally[min(_mex_run(blocks), max_r)] += 1
+        run = _mex_and_run(map(_SIZE, reversed(blocks)))[1]
+        tally[max_r if _run_at_least(run, max_r) else run] += 1
     return list(accumulate(reversed(tally)))[::-1]
 
 

@@ -200,30 +200,38 @@ class MexSequence:
 
     def at_least(self, r: int) -> bool:
         """True when the run has length >= r; an infinite run always does."""
-        return self.is_infinite or self.length >= r
+        return _run_at_least(self.length, r)
+
+
+def _run_at_least(length: int | _InfiniteLength, r: int) -> bool:
+    """The ``pmex`` rule: a mex run of ``length`` counts as >= r when it is
+    at least r long or never closes."""
+    return length is INFINITE or length >= r
 
 
 def mex(p: Partition) -> int:
     """Least positive integer that is not a part of ``p``."""
-    return _mex_and_run(p.parts)[0]
+    return _mex_and_run(reversed(p.parts))[0]
 
 
 def mex_sequence(p: Partition) -> MexSequence:
     """The mex run of ``p``: infinite iff no part exceeds the mex."""
-    return MexSequence(*_mex_and_run(p.parts))
+    return MexSequence(*_mex_and_run(reversed(p.parts)))
 
 
-def _mex_and_run(parts: tuple[int, ...]) -> tuple[int, int | _InfiniteLength]:
-    """(start, length) of the mex run of descending ``parts``.
+def _mex_and_run(sizes: Iterable[int]) -> tuple[int, int | _InfiniteLength]:
+    """(start, length) of the mex run of a partition whose part sizes, each
+    at least once, ascend in ``sizes``: ``reversed(parts)``, or the sizes of
+    a block walk's blocks read from the last.
 
-    One scan from the smallest part up: the mex m is the first size the
-    scan skips, and the run ends at the first part above m.
+    The mex m is the first size the scan skips, and the run ends at the
+    first size above m.
     """
     m = 1
-    for part in reversed(parts):
-        if part > m:
-            return m, part - m
-        if part == m:
+    for size in sizes:
+        if size > m:
+            return m, size - m
+        if size == m:
             m += 1
     return m, INFINITE
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -24,6 +25,26 @@ def test_count_po2():
 
 def test_count_p_zero():
     assert run(["count", "--family", "p", "--n", "0"]) == (0, "1\n", "")
+
+
+def _traced_peak(call):
+    """(result of ``call()``, the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_holds_no_members():
+    # `count` streams the members: its peak stays a small fraction of the
+    # peak of building the tuple of every member.
+    n = 24
+    run(["count", "--family", "pbar", "--n", "1"])  # first-call setup outside the trace
+    (code, out, err), count_peak = _traced_peak(lambda: run(["count", "--family", "pbar", "--n", str(n)]))
+    members, members_peak = _traced_peak(lambda: enumerate_family(Family("pbar"), n))
+    assert (code, out, err) == (0, f"{len(members)}\n", "")
+    assert count_peak < members_peak / 10, (count_peak, members_peak)
 
 
 def test_map_worked_example():
@@ -380,15 +401,18 @@ def test_run_splits_lines_as_the_command_does(mark):
         (["count", "--family", "p"], cli.MAX_N, "--n"),
         (["enumerate", "--family", "pbar"], cli.MAX_N, "--n"),
         (["verify", "--max-r", "1"], cli.MAX_VERIFY_N, "--max-n"),
+        (["verify", "--max-n", "1"], cli.MAX_VERIFY_R, "--max-r"),
     ],
 )
 def test_size_ceilings(monkeypatch, argv, ceiling, option):
     # Stubs stand in for the work, so no test enumerates at the ceiling.
     asked = []
-    monkeypatch.setattr(cli, "count_family", lambda family, n: asked.append(n) or 0)
     monkeypatch.setattr(cli, "_members", lambda family, n: asked.append(n) or ())
     report = VerificationReport(())
-    monkeypatch.setattr(cli.oracle, "verify_counts", lambda max_n, max_r: asked.append(max_n) or report)
+    monkeypatch.setattr(
+        cli.oracle, "verify_counts",
+        lambda max_n, max_r: asked.append(max_r if option == "--max-r" else max_n) or report,
+    )
     monkeypatch.setattr(cli.oracle, "verify_roundtrips", lambda max_n, max_r: report)
     code, out, err = run([*argv, option, str(ceiling + 1)])
     assert (code, out, err) == (2, "", f"error: {option} must be at most {ceiling}, got {ceiling + 1}\n")
@@ -403,3 +427,4 @@ def test_size_ceilings_exceed_every_size_in_use():
     # oracle runs verify_counts(30, 8).
     assert cli.MAX_N > 40
     assert cli.MAX_VERIFY_N > 30
+    assert cli.MAX_VERIFY_R >= 8
