@@ -37,9 +37,11 @@ __all__ = ["main", "run"]
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The largest degree `gf` computes, whether it comes from `--degree` or from
 # MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
-# takes 1.6-2.1 s for r = 2 and 8 and 3.1-3.2 s for r = 3 (odd r is the slower
-# case), writes about 8 MB and peaks at 21 MB resident (2-CPU shared x86-64
-# host, CPython 3.11).
+# writes about 8 MB and peaks at 22 MB resident.  It takes 1.6-2.1 s for
+# r = 2 and 8 and 2.8-3.2 s for r = 3, but each finite factor up to the
+# degree costs one pass, O(degree * min(r, degree)) in all: 3.6 s at degree
+# 10000 with r = 10000, 12.8 s at 20000 with r = 20000, and 83 s at the
+# ceiling with r = 50000 (2-CPU shared x86-64 host, CPython 3.11).
 MAX_DEGREE = 50_000
 # The largest --n of `count` and `enumerate`, and the largest --max-n and
 # --max-r of `verify`; above them the command exits 2.  A family grows about

@@ -62,17 +62,19 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class Overpartition:
     """An overpartition: distinct overlined parts plus unrestricted plain parts."""
 
-    __slots__ = ("overlined", "plain")
+    overlined: tuple[int, ...]
+    plain: tuple[int, ...]
 
     def __init__(self, overlined: Iterable[int] = (), plain: Iterable[int] = ()):
         over, rest = _descending(overlined), _descending(plain)
         if len(set(over)) != len(over):
             raise ValueError("overlined parts must be distinct")
-        self.overlined: tuple[int, ...] = over
-        self.plain: tuple[int, ...] = rest
+        self.overlined = over
+        self.plain = rest
 
     @classmethod
     def _trusted(cls, overlined: tuple[int, ...], plain: tuple[int, ...]) -> "Overpartition":
@@ -85,16 +87,6 @@ class Overpartition:
     @property
     def weight(self) -> int:
         return sum(self.overlined) + sum(self.plain)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Overpartition)
-            and self.overlined == other.overlined
-            and self.plain == other.plain
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Overpartition", self.overlined, self.plain))
 
     def __repr__(self) -> str:
         return f"Overpartition({list(self.overlined)!r}, {list(self.plain)!r})"
@@ -122,10 +114,12 @@ class Overpartition:
         return _from_text(cls, text, _overpartition_arguments)
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class ColoredPartition:
     """Odd parts in two colors; the second color only on sizes above ``r``."""
 
-    __slots__ = ("parts", "r")
+    parts: tuple[tuple[int, int], ...]
+    r: int
 
     def __init__(self, parts: Iterable[tuple[int, int]] = (), r: int = 2):
         _check_r("po2", r)
@@ -144,7 +138,7 @@ class ColoredPartition:
         # two stable sorts with C-level keys.
         ordered.sort(key=_COLOR)
         ordered.sort(key=_SIZE, reverse=True)
-        self.parts: tuple[tuple[int, int], ...] = tuple(ordered)
+        self.parts = tuple(ordered)
         self.r = r
 
     @classmethod
@@ -159,16 +153,6 @@ class ColoredPartition:
     @property
     def weight(self) -> int:
         return sum(size for size, _ in self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ColoredPartition)
-            and self.parts == other.parts
-            and self.r == other.r
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ColoredPartition", self.parts, self.r))
 
     def __repr__(self) -> str:
         return f"ColoredPartition({list(self.parts)!r}, r={self.r})"

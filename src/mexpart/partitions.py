@@ -32,13 +32,19 @@ __all__ = [
 ]
 
 
+# The four object types (also Overpartition, ColoredPartition and
+# TruncatedSeries) take equality and hashing by their fields from dataclass.
+# They are not frozen: a frozen class assigns through object.__setattr__,
+# which doubled the cost of ``_trusted``, the generators' hot path.  Each
+# keeps its own checking ``__init__`` and its ``__repr__``.
+@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class Partition:
     """A partition stored in canonical form (sorted descending, parts >= 1)."""
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        self.parts: tuple[int, ...] = _descending(parts)
+        self.parts = _descending(parts)
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -64,12 +70,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(("Partition", self.parts))
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"

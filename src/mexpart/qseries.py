@@ -20,6 +20,7 @@ oracle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .partitions import _require_int
@@ -37,10 +38,11 @@ __all__ = [
 DEFAULT_DEGREE = 64
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class TruncatedSeries:
     """Coefficients 0..degree of a formal power series, exact integers."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
@@ -49,7 +51,7 @@ class TruncatedSeries:
         for c in cs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
-        self.coeffs: tuple[int, ...] = cs
+        self.coeffs = cs
 
     @property
     def degree(self) -> int:
@@ -64,12 +66,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.degree:
             raise IndexError(f"coefficient index {n} outside 0..{self.degree}")
         return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("TruncatedSeries", self.coeffs))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -199,15 +195,18 @@ def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
       phi(-q) = (q; q)_inf^2 / (q^2; q^2)_inf = (q; q^2)_inf^2 (q^2; q^2)_inf.
 
     Both quotients cost O(degree^1.5) steps, then each finite factor one pass.
+    A factor (1 - q^e) with e > degree is 1 modulo q^(degree+1), so only the
+    factors up to ``degree`` are applied: at most (degree + 1) // 2 passes,
+    whatever r is.
     """
     _require_int(r, 1, "r")
     _require_int(degree, 0, "degree")
     if r % 2:
         coeffs = _sparse_quotient((), _pentagonal(degree), degree)
-        factors = range(2, r, 2)
+        factors = range(2, min(r, degree + 1), 2)
     else:
         coeffs = _sparse_quotient(_pentagonal(degree, 2), _theta(degree), degree)
-        factors = range(1, r, 2)
+        factors = range(1, min(r, degree + 1), 2)
     for e in factors:
         _times_one_minus(coeffs, e)
     return TruncatedSeries(coeffs)

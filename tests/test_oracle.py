@@ -67,6 +67,19 @@ class TestVerifyCounts:
     def test_row_order_is_deterministic(self):
         assert verify_counts(5, 3).checks == verify_counts(5, 3).checks
 
+    def test_every_family_is_counted_in_order(self):
+        # three checks per (n, r): the series, obar, then pe or po2 by parity
+        report = verify_counts(3, 4)
+        expected = []
+        for n in range(4):
+            for r in range(1, 5):
+                other = "pe" if r % 2 else "po2"
+                for name in ("pmex count = series coefficient", "obar count = pmex count",
+                             f"{other} count = pmex count"):
+                    expected.append((name, f"n={n} r={r}"))
+        assert [(c.name, c.params) for c in report.checks] == expected
+        assert report.overall
+
 
 class TestVerifyRoundtrips:
     def test_small_run_passes(self):

@@ -154,6 +154,26 @@ class TestGfPmex:
     def test_degree_zero(self, r):
         assert gf_pmex(r, 0).coeffs == (1,)
 
+    @pytest.mark.parametrize("degree", [1, 2, 7, 40])
+    def test_applies_no_factor_above_the_degree(self, monkeypatch, degree):
+        # (1 - q^e) with e > degree is 1 up to q^degree, so every r >= degree
+        # gives the same series, and a huge r costs no more factor passes.
+        expected = gf_pmex(degree, degree)
+        times_one_minus = qseries._times_one_minus
+        calls = []
+
+        def counted(coeffs, e):
+            calls.append(e)
+            if len(calls) > degree + 1:
+                raise AssertionError(f"more than {degree + 1} factor passes")
+            times_one_minus(coeffs, e)
+
+        monkeypatch.setattr(qseries, "_times_one_minus", counted)
+        for r in (10**12, 10**12 + 1):
+            calls.clear()
+            assert qseries.gf_pmex(r, degree) == expected
+            assert all(e <= degree for e in calls)
+
 
 def product(r, degree):
     """The paper's product the direct way: two dense inverses and their
