@@ -28,7 +28,7 @@ from . import oracle
 from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
 from .families import FAMILY_KINDS, MEMBER_TYPES, ColoredPartition, Family, Overpartition
-from .families import _members
+from .families import _count, _members
 from .partitions import Partition
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
@@ -42,13 +42,18 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # degree costs one pass, O(degree * min(r, degree)) in all: 3.6 s at degree
 # 10000 with r = 10000, 12.8 s at 20000 with r = 20000, and 83 s at the
 # ceiling with r = 50000 (2-CPU shared x86-64 host, CPython 3.11).
+# It is also the largest weight of an object `map` takes from obar, the one
+# domain whose maps can build an image far larger than their input: at
+# r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of
+# output, about a 100 MB peak).  At the limit a map writes at most about
+# 130 kB and peaks at about 21 MB.
 MAX_DEGREE = 50_000
 # The largest --n of `count` and `enumerate`, and the largest --max-n and
 # --max-r of `verify`; above them the command exits 2.  A family grows about
 # 1.25-fold per unit of n, `pbar` the fastest.  At the ceilings (2-CPU shared
 # x86-64 host, CPython 3.11): `enumerate --family pbar --n 42` 7.2 s at a
-# 16 MB peak, `count --family pbar --n 42` 2.0 s at 16 MB (`count` holds no
-# member), and `verify --max-n 32 --max-r 16` 9.2-11.1 s at 21 MB, against
+# 16 MB peak, `count --family pbar --n 42` 0.3-0.4 s at 16 MB (`count` builds
+# no member), and `verify --max-n 32 --max-r 16` 9.2-11.1 s at 21 MB, against
 # 7.4-9.6 s for `--max-r 8`, the acceptance size.  Unbounded, `verify --max-n
 # 2 --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
@@ -178,8 +183,7 @@ def _at_most(value: int, ceiling: int, option: str) -> int:
 
 def _cmd_count(args, stdin) -> int:
     n = _at_most(args.n, MAX_N, "--n")
-    # one member at a time, so the count holds none of them
-    print(sum(1 for _ in _members(Family(args.family, args.r), n)))
+    print(_count(Family(args.family, args.r), n))
     return 0
 
 
@@ -201,11 +205,16 @@ def _cmd_map(args, stdin) -> int:
     parse = _PARSERS[args.bijection]
     emit = _emitter(args.format)
     r = args.r
+    # Only the maps from obar can build an image larger than their input.
+    bounded = DOMAIN[args.bijection] == "obar"
     for lineno, line in enumerate(_iter_lines(stdin), start=1):
         if not line or line.isspace():  # a blank line; the parser strips the rest
             continue
         try:
-            image = apply_map(parse(line, r), r)
+            obj = parse(line, r)
+            if bounded:
+                _at_most(obj.weight, MAX_DEGREE, "the weight of an input object")
+            image = apply_map(obj, r)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         emit(image)

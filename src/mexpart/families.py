@@ -12,17 +12,20 @@ names the command line uses:
 ``po2``     odd-part partitions, two colors allowed on sizes above r (r even)
 ==========  =============================================================
 
-Enumeration builds each family by construction, not by filtering a larger
-one: a walk over partitions in descending lexicographic order uses only the
-sizes the family allows (each size that must be overlined at most once),
-and each partition it yields fans out into its admissible overline or color
-patterns.  ``pmex`` keeps the partitions whose mex run has length >= r, an
-open run counting as long enough: the walk's block sizes, read from the
-smallest, go through the same scan as :func:`~mexpart.mex_sequence`, and
-the filter applies the rule of ``MexSequence.at_least``.  The walk is
-iterative: one explicit stack of (size, multiplicity) blocks, filled
-greedily and backtracked, yields each partition as soon as it is complete.
-The ``pmex`` counts of one weight for every r come from a single walk that
+Each family's rule is written once, in ``_rule``, in two parts.  The walk:
+partitions in descending lexicographic order over only the sizes the
+family allows, each size that must be overlined at most once, and for
+``pmex`` the partitions whose mex run has length >= r, an open run
+counting as long enough (the walk's block sizes, read from the smallest,
+go through the same scan as :func:`~mexpart.mex_sequence`, and the filter
+applies the rule of ``MexSequence.at_least``).  The block patterns: what
+one (size, multiplicity) block becomes in a member, its admissible overline
+or color patterns in canonical order.  ``_members`` expands the rule into
+members; ``_count`` counts by it and builds none, summing over the walk the
+product of each block's number of patterns.  The walk is iterative: one
+explicit stack of (size, multiplicity) blocks, filled greedily and
+backtracked, yields each partition as soon as it is complete.  The
+``pmex`` counts of one weight for every r come from a single walk that
 tallies each partition at the length of its mex run.  ``_check_r`` holds
 the r rule, for :class:`Family` and :class:`ColoredPartition` alike.
 
@@ -35,8 +38,7 @@ public ones.
 The fixed enumeration order is descending lexicographic on the part sizes,
 with ties broken by the overline/color pattern (plain before overlined,
 first color before second).  :func:`enumerate_family` returns a tuple;
-the command line streams (and ``count`` counts) from the same generators
-without holding them.
+the command line streams from the same generators without holding them.
 
 Each member type prints one canonical line (``~6 ~4 3 3``, ``5_2 1_1``)
 and its ``from_text`` accepts exactly the lines ``text()`` prints.
@@ -45,7 +47,8 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, starmap
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -274,52 +277,71 @@ def _flat(blocks) -> Partition:
     return Partition._trusted(parts)
 
 
-def _overlined(n: int, forced) -> Iterator[Overpartition]:
-    # Each block is plain or has one overlined copy, except that a size in
-    # ``forced`` occurs once and is always overlined.  Plain before
-    # overlined, at the largest size first, is canonical order.
-    for blocks in _walk(n, n, (), forced):
-        choices = [
-            (((size,), ()),) if size in forced
-            else (((), (size,) * mult), ((size,), (size,) * (mult - 1)))
-            for size, mult in blocks
-        ]
-        for pick in product(*choices):
-            overlined = plain = ()
-            for over, rest in pick:
-                overlined += over
-                plain += rest
-            yield Overpartition._trusted(overlined, plain)
+def _rule(family: Family, n: int):
+    """The one statement of ``family``'s rule at weight ``n``, which
+    :func:`_members` expands and :func:`_count` counts: ``(walk, patterns,
+    seed)``.
+
+    ``walk`` yields the block lists of the partitions the family is built
+    on: ``_walk`` with the sizes the family skips and the sizes it takes at
+    most once, and for ``pmex`` the mex-run filter.  ``patterns`` maps each
+    (size, multiplicity) block the walk can yield to what that block becomes
+    in a member, in canonical order: pairs, added field by field to
+    ``seed`` (the empty member's pair) to give the arguments of the member
+    type's ``_trusted``.  The partition kinds have one pattern per block,
+    the block's parts, so their ``patterns`` is None.
+    """
+    kind, r = family.kind, family.r
+    if kind in ("pbar", "obar"):
+        # obar: a size at most r or of r's parity is always overlined, so
+        # it occurs once; every other size is plain or has one copy
+        # overlined, plain first.
+        forced = () if kind == "pbar" else frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
+        patterns = {
+            (s, m): (((s,), ()),) if s in forced else (((), (s,) * m), ((s,), (s,) * (m - 1)))
+            for s in range(1, n + 1) for m in range(1, n // s + 1)
+        }
+        return _walk(n, n, (), forced), patterns, ((), ())
+    if kind == "po2":
+        # Odd sizes only.  Above r the second-color count runs 0..m, at or
+        # below r it is 0.  Each pattern's second field is 0, so the seed's
+        # r reaches ColoredPartition._trusted unchanged.
+        patterns = {
+            (s, m): tuple((((s, 1),) * (m - c) + ((s, 2),) * c, 0) for c in range(m + 1 if s > r else 1))
+            for s in range(1, n + 1, 2) for m in range(1, n // s + 1)
+        }
+        return _walk(n, n, range(2, n + 1, 2), ()), patterns, ((), r)
+    walk = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
+    if kind == "pmex":  # block sizes ascend from the last block
+        walk = (b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
+    return walk, None, None
 
 
-def _po2(n: int, r: int) -> Iterator[ColoredPartition]:
-    # Odd parts only; within a size block the second-color count runs
-    # 0..multiplicity above r and stays 0 at or below it, which is
-    # canonical order.
-    for blocks in _walk(n, n, range(2, n + 1, 2), ()):
-        choices = [
-            tuple(((size, 1),) * (mult - c) + ((size, 2),) * c for c in range(mult + 1))
-            if size > r else (((size, 1),) * mult,)
-            for size, mult in blocks
-        ]
-        for pick in product(*choices):
-            yield ColoredPartition._trusted(sum(pick, ()), r)
+def _fan_out(walk, patterns, seed, make) -> Iterator:
+    # Each partition's members, built block by block from the smallest
+    # size: a larger block's pattern varies slower, which is canonical order.
+    for blocks in walk:
+        built = [seed]
+        for block in reversed(blocks):
+            built = [(c + a, d + b) for c, d in patterns[block] for a, b in built]
+        yield from starmap(make, built)
 
 
 def _members(family: Family, n: int) -> Iterator:
     """The weight-``n`` members of ``family``, lazily, in canonical order."""
     _require_int(n, 0, "weight")
-    kind, r = family.kind, family.r
-    if kind == "pbar":
-        return _overlined(n, ())
-    if kind == "obar":  # plain sizes are > r with the parity of r+1
-        return _overlined(n, frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0))
-    if kind == "po2":
-        return _po2(n, r)
-    blocks = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
-    if kind == "pmex":  # block sizes ascend from the last block
-        blocks = (b for b in blocks if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
-    return map(_flat, blocks)
+    walk, patterns, seed = _rule(family, n)
+    if patterns is None:
+        return map(_flat, walk)
+    return _fan_out(walk, patterns, seed, MEMBER_TYPES[family.kind]._trusted)
+
+
+def _count(family: Family, n: int) -> int:
+    """The number of weight-``n`` members of ``family``, building none: the
+    sum over the walk of the product of each block's number of patterns."""
+    _require_int(n, 0, "weight")
+    walk, patterns, _ = _rule(family, n)
+    return sum(prod([len(patterns[block]) for block in blocks]) if patterns else 1 for blocks in walk)
 
 
 def _pmex_counts(n: int, max_r: int) -> list[int]:
@@ -349,5 +371,6 @@ def enumerate_family(family: Family, n: int) -> tuple:
 
 
 def count_family(family: Family, n: int) -> int:
-    """Number of weight-``n`` members, by exhaustive enumeration."""
+    """Number of weight-``n`` members, by exhaustive enumeration: the
+    reference the tests hold ``_count`` to."""
     return len(enumerate_family(family, n))

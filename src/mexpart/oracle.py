@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .bijections import INVERSE, MAPS, map_families
-from .families import Family, _pmex_counts, count_family, enumerate_family, is_member
+from .families import Family, _count, _pmex_counts, enumerate_family, is_member
 from .partitions import _require_int, conjugate, glaisher_split
 from .qseries import gf_pmex
 
@@ -71,7 +71,8 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
     equal the generating-function coefficient and the count of every other
     family that accepts r: ``obar``, plus ``pe`` for odd r or ``po2`` for
     even r.  The ``pmex`` counts of one n, for every r, come from a single
-    walk over the partitions of n.
+    walk over the partitions of n; the other families are counted by their
+    block rule (``families._count``).  No member object is built.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
@@ -85,7 +86,7 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
             base = pmex[r]
             checks.append(Check("pmex count = series coefficient", params, series[r][n], base))
             for family in others[r]:
-                checks.append(Check(f"{family.kind} count = pmex count", params, base, count_family(family, n)))
+                checks.append(Check(f"{family.kind} count = pmex count", params, base, _count(family, n)))
     return VerificationReport(tuple(checks))
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mexpart import Check, Family, Overpartition, Partition, VerificationReport, bijections, cli, gf_pmex
+from mexpart import Check, ColoredPartition, Family, Overpartition, Partition, VerificationReport, bijections, cli
+from mexpart import families, gf_pmex, oracle
 from mexpart import enumerate_family
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
@@ -407,6 +408,7 @@ def test_run_splits_lines_as_the_command_does(mark):
 def test_size_ceilings(monkeypatch, argv, ceiling, option):
     # Stubs stand in for the work, so no test enumerates at the ceiling.
     asked = []
+    monkeypatch.setattr(cli, "_count", lambda family, n: asked.append(n) or 0)
     monkeypatch.setattr(cli, "_members", lambda family, n: asked.append(n) or ())
     report = VerificationReport(())
     monkeypatch.setattr(
@@ -420,6 +422,47 @@ def test_size_ceilings(monkeypatch, argv, ceiling, option):
     code, _, err = run([*argv, option, str(ceiling)])
     assert (code, err) == (0, "")
     assert asked == [ceiling]
+
+
+@pytest.mark.parametrize("bijection,r", [("t5inv", 1), ("oddinv", 1), ("eveninv", 2)])
+def test_map_bounds_the_weight_of_an_object_from_obar(bijection, r):
+    # These maps can build an image far larger than their input line: at
+    # r = 1, t5inv sends ~k to k parts of size 1.
+    argv = ["map", "--bijection", bijection, "--r", str(r)]
+    limit = cli.MAX_DEGREE
+    code, out, err = run(argv, f"~{limit}\n")
+    assert (code, err) == (0, "")
+    parse = cli._PARSERS[bijections.INVERSE[bijection]]
+    assert parse(out, r).weight == limit
+    refused = f"error: line 2: the weight of an input object must be at most {limit}, got {limit + 1}\n"
+    assert run(argv, f"~{limit}\n~{limit + 1}\n") == (2, out, refused)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexpart", *argv], input=f"~{limit + 1}\n".encode(), capture_output=True, env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", refused.replace("line 2", "line 1"))
+
+
+def test_count_and_verify_counts_build_no_member(monkeypatch):
+    # They count by the families' block rule, so no generator of members
+    # and no member constructor may run.
+    specs = [("p", None), ("pbar", None), ("pmex", 2), ("obar", 2), ("pe", 3), ("po2", 2)]
+    expected = {kind: len(enumerate_family(Family(kind, r), 12)) for kind, r in specs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member was built")
+
+    for module, name in [(cli, "_members"), (families, "_members"), (families, "enumerate_family"),
+                         (families, "count_family"), (oracle, "enumerate_family")]:
+        monkeypatch.setattr(module, name, refuse)
+    for cls in (Partition, Overpartition, ColoredPartition):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "_trusted", refuse)
+    for kind, r in specs:
+        argv = ["count", "--family", kind, "--n", "12"] + ([] if r is None else ["--r", str(r)])
+        assert run(argv) == (0, f"{expected[kind]}\n", ""), kind
+    assert oracle.verify_counts(16, 6).overall
 
 
 def test_size_ceilings_exceed_every_size_in_use():

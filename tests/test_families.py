@@ -13,7 +13,9 @@ from mexpart import (
     is_member,
     mex_sequence,
 )
-from mexpart.families import _pmex_counts, _walk
+from mexpart import gf_pmex, poch_distinct, poch_inv, series_mul
+from mexpart.cli import MAX_N
+from mexpart.families import FAMILY_KINDS, _count, _pmex_counts, _walk
 
 overpartitions = st.builds(
     Overpartition,
@@ -427,6 +429,43 @@ class TestPmexTally:
             expected += [count_family(Family("pmex", r), n) for r in range(1, 11)]
             for max_r in range(11):
                 assert _pmex_counts(n, max_r) == expected[: max_r + 1], (n, max_r)
+
+
+def _families_up_to(max_r):
+    """Every family, at every r <= max_r it accepts."""
+    families = []
+    for kind in FAMILY_KINDS:
+        for r in (None, *range(1, max_r + 1)):
+            try:
+                families.append(Family(kind, r))
+            except ValueError:
+                pass
+    return families
+
+
+class TestBlockCount:
+    @pytest.mark.parametrize("family", _families_up_to(7), ids=repr)
+    def test_equals_the_enumeration(self, family):
+        for n in range(21):
+            assert _count(family, n) == count_family(family, n), n
+
+    def test_equals_each_definition_beyond_enumeration(self):
+        # Each family's series from its own definition, at the largest --n
+        # of `count`: the sizes a family allows, as q-Pochhammer factors.
+        n = MAX_N
+        p = poch_inv(1, 1, n)
+        definitions = {Family("p"): p, Family("pbar"): series_mul(poch_distinct(1, 1, n), p)}
+        for r in range(1, 5):
+            tail = poch_inv(r + 1, 2, n)
+            definitions[Family("obar", r)] = series_mul(poch_distinct(1, 1, n), tail)
+            definitions[Family("pmex", r)] = gf_pmex(r, n)
+            if r % 2:
+                definitions[Family("pe", r)] = gf_pmex(r, n)
+            else:
+                definitions[Family("po2", r)] = series_mul(poch_inv(1, 2, n), tail)
+        assert {family: _count(family, n) for family in definitions} == {
+            family: series[n] for family, series in definitions.items()
+        }
 
 
 class TestIsMember:
