@@ -64,14 +64,9 @@ def _check_domain(map_id: str, obj, r: int) -> None:
 
 
 def _outside(domain: Family, obj) -> ValueError:
-    """The error for ``obj`` outside ``domain``; any value may be passed.
-    A colored partition built at another r says so, since its text alone
-    may be admissible at the domain's r."""
+    """The error for ``obj`` outside ``domain``; any value may be passed."""
     shown = obj.text() if isinstance(obj, (Partition, Overpartition, ColoredPartition)) else obj
-    message = f"{shown!r} is not in family {domain.kind!r} at r={domain.r}"
-    if domain.kind == "po2" and isinstance(obj, ColoredPartition) and obj.r != domain.r:
-        message += f"; it was built at r={obj.r}"
-    return ValueError(message)
+    return ValueError(f"{shown!r} is not in family {domain.kind!r} at r={domain.r}")
 
 
 def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
@@ -184,7 +179,7 @@ def even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     parts = [(s, 1) for s in _split(op.overlined)] + [(s, 2) for s in op.plain]
     # Stable, so each size keeps its first-color copies ahead of the second.
     parts.sort(key=_SIZE, reverse=True)
-    return ColoredPartition._trusted(tuple(parts), r)
+    return ColoredPartition._trusted(tuple(parts))
 
 
 # The registry.  Callers look a map up here when they call it, never keep

@@ -27,7 +27,7 @@ from typing import Iterable
 from . import oracle
 from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
-from .families import FAMILY_KINDS, MEMBER_TYPES, ColoredPartition, Family, Overpartition
+from .families import FAMILY_KINDS, MEMBER_TYPES, Family, Overpartition
 from .families import _count, _members
 from .partitions import Partition
 from .qseries import DEFAULT_DEGREE, gf_pmex
@@ -67,15 +67,8 @@ MAX_VERIFY_R = 16
 _PIPE_BUFFER = 1 << 16
 
 
-def _parser(cls):
-    """``parse(text, r)`` for one member type; only colored partitions use r."""
-    if cls is ColoredPartition:
-        return cls.from_text
-    return lambda text, r: cls.from_text(text)
-
-
 # domain parser per map id
-_PARSERS = {map_id: _parser(MEMBER_TYPES[kind]) for map_id, kind in DOMAIN.items()}
+_PARSERS = {map_id: MEMBER_TYPES[kind].from_text for map_id, kind in DOMAIN.items()}
 
 
 def _integer(text: str) -> int:
@@ -211,7 +204,7 @@ def _cmd_map(args, stdin) -> int:
         if not line or line.isspace():  # a blank line; the parser strips the rest
             continue
         try:
-            obj = parse(line, r)
+            obj = parse(line)
             if bounded:
                 _at_most(obj.weight, MAX_DEGREE, "the weight of an input object")
             image = apply_map(obj, r)

@@ -26,8 +26,11 @@ product of each block's number of patterns.  The walk is iterative: one
 explicit stack of (size, multiplicity) blocks, filled greedily and
 backtracked, yields each partition as soon as it is complete.  The
 ``pmex`` counts of one weight for every r come from a single walk that
-tallies each partition at the length of its mex run.  ``_check_r`` holds
-the r rule, for :class:`Family` and :class:`ColoredPartition` alike.
+tallies each partition at the length of its mex run.  :class:`Family`
+holds the r rule and is the only holder of r: the member types carry none,
+so a ``ColoredPartition`` is any two-colored odd partition, and ``po2``'s
+bound on the second color lives, like every family's rule, in ``_rule``
+and :func:`is_member`.
 
 The membership predicates stay the definition of every family: the tests
 check each generator against the unrestricted base family filtered through
@@ -119,13 +122,12 @@ class Overpartition:
 
 @dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class ColoredPartition:
-    """Odd parts in two colors; the second color only on sizes above ``r``."""
+    """Odd parts in two colors, any size in either color; ``po2``'s bound on
+    the second color is the family's, checked by :func:`is_member`."""
 
     parts: tuple[tuple[int, int], ...]
-    r: int
 
-    def __init__(self, parts: Iterable[tuple[int, int]] = (), r: int = 2):
-        _check_r("po2", r)
+    def __init__(self, parts: Iterable[tuple[int, int]] = ()):
         ordered = list(parts)
         for part in ordered:
             if not isinstance(part, tuple) or len(part) != 2:
@@ -135,22 +137,17 @@ class ColoredPartition:
                 raise ValueError(f"part sizes must be odd positive integers, got {size!r}")
             if not isinstance(color, int) or isinstance(color, bool) or color not in (1, 2):
                 raise ValueError(f"colors must be 1 or 2, got {color!r}")
-            if color == 2 and size <= r:
-                raise ValueError(f"second color needs size > {r}, got {size}")
         # Canonical order, size descending and then color ascending, from
         # two stable sorts with C-level keys.
         ordered.sort(key=_COLOR)
         ordered.sort(key=_SIZE, reverse=True)
         self.parts = tuple(ordered)
-        self.r = r
 
     @classmethod
-    def _trusted(cls, parts: tuple[tuple[int, int], ...], r: int) -> "ColoredPartition":
-        """Wrap canonically ordered parts as is, skipping sort and checks
-        (``r`` too)."""
+    def _trusted(cls, parts: tuple[tuple[int, int], ...]) -> "ColoredPartition":
+        """Wrap canonically ordered parts as is, skipping sort and checks."""
         obj = object.__new__(cls)
         obj.parts = parts
-        obj.r = r
         return obj
 
     @property
@@ -158,16 +155,16 @@ class ColoredPartition:
         return sum(size for size, _ in self.parts)
 
     def __repr__(self) -> str:
-        return f"ColoredPartition({list(self.parts)!r}, r={self.r})"
+        return f"ColoredPartition({list(self.parts)!r})"
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``5_2 1_1``; `-` when empty."""
         return " ".join([f"{size}_{color}" for size, color in self.parts]) if self.parts else "-"
 
     @classmethod
-    def from_text(cls, text: str, r: int) -> "ColoredPartition":
+    def from_text(cls, text: str) -> "ColoredPartition":
         """Parse one line: exactly what :meth:`text` prints, nothing else."""
-        return _from_text(cls, text, _colored_arguments, r)
+        return _from_text(cls, text, _colored_arguments)
 
 
 _SIZE, _COLOR = itemgetter(0), itemgetter(1)
@@ -184,31 +181,27 @@ FAMILY_KINDS = tuple(MEMBER_TYPES)
 
 @dataclass(frozen=True)
 class Family:
-    """Identifier for one of the named counting families, checked by
-    :func:`_check_r`; a bijection's r rule is that of its domain and
-    codomain families."""
+    """Identifier for one of the named counting families, and the one place
+    that knows which kinds take ``r`` and which need it odd (``pe``) or even
+    (``po2``); a bijection's r rule is that of its domain and codomain
+    families."""
 
     kind: str
     r: int | None = None
 
     def __post_init__(self):
-        _check_r(self.kind, self.r)
-
-
-def _check_r(kind: str, r) -> None:
-    """The r rule: the one place that knows which family kinds take ``r``
-    and which need it odd (``pe``) or even (``po2``)."""
-    if kind not in MEMBER_TYPES:
-        raise ValueError(f"unknown family {kind!r}")
-    if kind in ("p", "pbar"):
-        if r is not None:
-            raise ValueError(f"family {kind!r} takes no parameter r")
-        return
-    _require_int(r, 1, f"r of family {kind!r}")
-    if kind == "pe" and r % 2 == 0:
-        raise ValueError(f"family 'pe' needs odd r, got {r}")
-    if kind == "po2" and r % 2 == 1:
-        raise ValueError(f"family 'po2' needs even r, got {r}")
+        kind, r = self.kind, self.r
+        if kind not in MEMBER_TYPES:
+            raise ValueError(f"unknown family {kind!r}")
+        if kind in ("p", "pbar"):
+            if r is not None:
+                raise ValueError(f"family {kind!r} takes no parameter r")
+            return
+        _require_int(r, 1, f"r of family {kind!r}")
+        if kind == "pe" and r % 2 == 0:
+            raise ValueError(f"family 'pe' needs odd r, got {r}")
+        if kind == "po2" and r % 2 == 1:
+            raise ValueError(f"family 'po2' needs even r, got {r}")
 
 
 def is_member(family: Family, obj: object) -> bool:
@@ -224,7 +217,7 @@ def is_member(family: Family, obj: object) -> bool:
     if kind == "pe":
         return not any(x % 2 == 0 and x < r for x in obj.parts)
     if kind == "po2":
-        return obj.r == r and all(color == 1 or size > r for size, color in obj.parts)
+        return all(color == 1 or size > r for size, color in obj.parts)
     return True
 
 
@@ -279,17 +272,17 @@ def _flat(blocks) -> Partition:
 
 def _rule(family: Family, n: int):
     """The one statement of ``family``'s rule at weight ``n``, which
-    :func:`_members` expands and :func:`_count` counts: ``(walk, patterns,
-    seed)``.
+    :func:`_members` expands and :func:`_count` counts: ``(walk,
+    patterns)``.
 
     ``walk`` yields the block lists of the partitions the family is built
     on: ``_walk`` with the sizes the family skips and the sizes it takes at
     most once, and for ``pmex`` the mex-run filter.  ``patterns`` maps each
     (size, multiplicity) block the walk can yield to what that block becomes
-    in a member, in canonical order: pairs, added field by field to
-    ``seed`` (the empty member's pair) to give the arguments of the member
-    type's ``_trusted``.  The partition kinds have one pattern per block,
-    the block's parts, so their ``patterns`` is None.
+    in a member, in canonical order: an (overlined, plain) pair of parts for
+    the overpartition kinds, the colored parts for ``po2``.  The partition
+    kinds have one pattern per block, the block's parts, so their
+    ``patterns`` is None.
     """
     kind, r = family.kind, family.r
     if kind in ("pbar", "obar"):
@@ -301,27 +294,36 @@ def _rule(family: Family, n: int):
             (s, m): (((s,), ()),) if s in forced else (((), (s,) * m), ((s,), (s,) * (m - 1)))
             for s in range(1, n + 1) for m in range(1, n // s + 1)
         }
-        return _walk(n, n, (), forced), patterns, ((), ())
+        return _walk(n, n, (), forced), patterns
     if kind == "po2":
         # Odd sizes only.  Above r the second-color count runs 0..m, at or
-        # below r it is 0.  Each pattern's second field is 0, so the seed's
-        # r reaches ColoredPartition._trusted unchanged.
+        # below r it is 0.
         patterns = {
-            (s, m): tuple((((s, 1),) * (m - c) + ((s, 2),) * c, 0) for c in range(m + 1 if s > r else 1))
+            (s, m): tuple(((s, 1),) * (m - c) + ((s, 2),) * c for c in range(m + 1 if s > r else 1))
             for s in range(1, n + 1, 2) for m in range(1, n // s + 1)
         }
-        return _walk(n, n, range(2, n + 1, 2), ()), patterns, ((), r)
+        return _walk(n, n, range(2, n + 1, 2), ()), patterns
     walk = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
     if kind == "pmex":  # block sizes ascend from the last block
         walk = (b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
-    return walk, None, None
+    return walk, None
 
 
-def _fan_out(walk, patterns, seed, make) -> Iterator:
+def _fan_out(walk, patterns, cls) -> Iterator:
     # Each partition's members, built block by block from the smallest
     # size: a larger block's pattern varies slower, which is canonical order.
+    # Overpartition patterns are (overlined, plain) pairs, joined field by
+    # field; a colored pattern is a tuple of parts, joined as it is.
+    make = cls._trusted
+    if cls is ColoredPartition:
+        for blocks in walk:
+            built = [()]
+            for block in reversed(blocks):
+                built = [c + a for c in patterns[block] for a in built]
+            yield from map(make, built)
+        return
     for blocks in walk:
-        built = [seed]
+        built = [((), ())]
         for block in reversed(blocks):
             built = [(c + a, d + b) for c, d in patterns[block] for a, b in built]
         yield from starmap(make, built)
@@ -330,17 +332,17 @@ def _fan_out(walk, patterns, seed, make) -> Iterator:
 def _members(family: Family, n: int) -> Iterator:
     """The weight-``n`` members of ``family``, lazily, in canonical order."""
     _require_int(n, 0, "weight")
-    walk, patterns, seed = _rule(family, n)
+    walk, patterns = _rule(family, n)
     if patterns is None:
         return map(_flat, walk)
-    return _fan_out(walk, patterns, seed, MEMBER_TYPES[family.kind]._trusted)
+    return _fan_out(walk, patterns, MEMBER_TYPES[family.kind])
 
 
 def _count(family: Family, n: int) -> int:
     """The number of weight-``n`` members of ``family``, building none: the
     sum over the walk of the product of each block's number of patterns."""
     _require_int(n, 0, "weight")
-    walk, patterns, _ = _rule(family, n)
+    walk, patterns = _rule(family, n)
     return sum(prod([len(patterns[block]) for block in blocks]) if patterns else 1 for blocks in walk)
 
 

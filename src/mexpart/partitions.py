@@ -149,8 +149,8 @@ def _colored_arguments(tokens: list[str]) -> tuple[list[tuple[int, int]]]:
     return (list(map(_colored_token, tokens)),)
 
 
-def _from_text(cls, text: str, arguments, *context):
-    """``cls(*arguments(tokens), *context)`` for the tokens of one line,
+def _from_text(cls, text: str, arguments):
+    """``cls(*arguments(tokens))`` for the tokens of one line,
     accepted iff its ``text()`` is the stripped line.
 
     The tokens are the stripped line split on single spaces (none for the
@@ -163,7 +163,7 @@ def _from_text(cls, text: str, arguments, *context):
         args = arguments([] if line == "-" else line.split(" "))
     except ValueError:
         raise ValueError(f"not a canonical {cls.__name__} line: {line!r}") from None
-    obj = cls(*args, *context)
+    obj = cls(*args)
     if obj.text() != line:
         raise ValueError(
             f"not a canonical {cls.__name__} line: {line!r}; it prints as {obj.text()!r}"

@@ -78,14 +78,14 @@ def test_criterion_1_reference_constants():
         po2 = enumerate_family(Family("po2", 2), 6)
         assert len(po2) == 8
         assert set(po2) == {
-            ColoredPartition([(5, 1), (1, 1)], 2),
-            ColoredPartition([(5, 2), (1, 1)], 2),
-            ColoredPartition([(3, 1), (3, 1)], 2),
-            ColoredPartition([(3, 1), (3, 2)], 2),
-            ColoredPartition([(3, 2), (3, 2)], 2),
-            ColoredPartition([(3, 1), (1, 1), (1, 1), (1, 1)], 2),
-            ColoredPartition([(3, 2), (1, 1), (1, 1), (1, 1)], 2),
-            ColoredPartition([(1, 1)] * 6, 2),
+            ColoredPartition([(5, 1), (1, 1)]),
+            ColoredPartition([(5, 2), (1, 1)]),
+            ColoredPartition([(3, 1), (3, 1)]),
+            ColoredPartition([(3, 1), (3, 2)]),
+            ColoredPartition([(3, 2), (3, 2)]),
+            ColoredPartition([(3, 1), (1, 1), (1, 1), (1, 1)]),
+            ColoredPartition([(3, 2), (1, 1), (1, 1), (1, 1)]),
+            ColoredPartition([(1, 1)] * 6),
         }
 
 

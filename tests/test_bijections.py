@@ -131,7 +131,7 @@ class TestEvenMaps:
         ],
     )
     def test_forward_examples(self, parts, r, expected):
-        assert even_forward(ColoredPartition(parts, r), r).text() == expected
+        assert even_forward(ColoredPartition(parts), r).text() == expected
 
     @pytest.mark.parametrize(
         "text,r,expected",
@@ -143,24 +143,24 @@ class TestEvenMaps:
     )
     def test_inverse_examples(self, text, r, expected):
         got = even_inverse(Overpartition.from_text(text), r)
-        assert got == ColoredPartition(expected, r)
+        assert got == ColoredPartition(expected)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            even_forward(ColoredPartition([(3, 1)], 2), 3)  # r must be even
+            even_forward(ColoredPartition([(3, 1)]), 3)  # r must be even
         with pytest.raises(ValueError):
-            even_forward(ColoredPartition([(3, 2)], 2), 4)  # color 2 at size <= r
+            even_forward(ColoredPartition([(3, 2)]), 4)  # color 2 at size <= r
         with pytest.raises(ValueError):
             even_inverse(Overpartition([], [4]), 2)  # plain part must be odd
 
-    def test_colored_partition_must_carry_the_maps_r(self):
-        # 5_2 is admissible at both r = 2 and r = 4, but an object built at
-        # r = 2 is not a member of po2 at r = 4; accepting it made
-        # even_inverse return an object unequal to the input.
-        with pytest.raises(ValueError, match=r"'5_2' is not in family 'po2' at r=4"):
-            even_forward(ColoredPartition([(5, 2)], 2), 4)
-        image = even_forward(ColoredPartition([(5, 2)], 4), 4)
-        assert even_inverse(image, 4) == ColoredPartition([(5, 2)], 4)
+    def test_round_trip_gives_back_the_input(self):
+        # 5_2 is in po2 at r = 2 and at r = 4; the object carries no r, so
+        # the round trip at either r is the identity.
+        for r in (2, 4):
+            colored = ColoredPartition([(5, 2)])
+            assert even_inverse(even_forward(colored, r), r) == colored
+        with pytest.raises(ValueError, match=r"^'5_2' is not in family 'po2' at r=6$"):
+            even_forward(ColoredPartition([(5, 2)]), 6)
 
 
 class TestRoundTrips:
@@ -233,7 +233,7 @@ ENTRY_POINTS = [
 ]
 FOREIGN = [
     Overpartition([3], [1]),
-    ColoredPartition([(3, 1)], 2),
+    ColoredPartition([(3, 1)]),
     Partition([3, 1]),
     (3, 1),
     None,
@@ -261,14 +261,6 @@ def test_foreign_input_message_names_the_family():
         mex_inverse(None, 2)
 
 
-def test_colored_partition_of_another_r_names_its_r():
-    with pytest.raises(ValueError, match=r"^'5_2' is not in family 'po2' at r=4; it was built at r=2$"):
-        even_forward(ColoredPartition([(5, 2)], 2), 4)
-    # outside po2 the r a colored partition carries is not the reason
-    with pytest.raises(ValueError, match=r"^'5_2' is not in family 'obar' at r=4$"):
-        mex_inverse(ColoredPartition([(5, 2)], 2), 4)
-
-
 class TestImagesAreCanonical:
     """The maps build their images without the public constructors; each
     image must still be exactly what those constructors and the parsers
@@ -277,12 +269,12 @@ class TestImagesAreCanonical:
     REBUILD = {
         Partition: lambda x: Partition(x.parts),
         Overpartition: lambda x: Overpartition(x.overlined, x.plain),
-        ColoredPartition: lambda x: ColoredPartition(x.parts, x.r),
+        ColoredPartition: lambda x: ColoredPartition(x.parts),
     }
     PARSE = {
         Partition: lambda x: Partition.from_text(x.text()),
         Overpartition: lambda x: Overpartition.from_text(x.text()),
-        ColoredPartition: lambda x: ColoredPartition.from_text(x.text(), x.r),
+        ColoredPartition: lambda x: ColoredPartition.from_text(x.text()),
     }
 
     @pytest.mark.parametrize("map_id", sorted(MAPS))

@@ -72,6 +72,19 @@ def test_map_even_parses_colored_input():
     assert out == "5 ~1\n~3 3\n"
 
 
+def test_map_even_refuses_a_colored_line_outside_po2_at_its_r():
+    # 3_2 is a colored partition, so it parses; the domain check refuses it
+    # at r = 4, as it refuses any line outside po2.
+    argv = ["map", "--bijection", "even", "--r", "4"]
+    expected = (2, "5\n", "error: line 2: '3_2' is not in family 'po2' at r=4\n")
+    assert run(argv, "5_2\n3_2\n") == expected
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexpart", *argv], input=b"5_2\n3_2\n", capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+
+
 def test_map_malformed_line_names_the_line():
     code, out, err = run(["map", "--bijection", "t5", "--r", "2"], "7\nbogus\n")
     assert code == 2
@@ -374,7 +387,7 @@ def test_rejected_line_stops_the_stream(map_id, data):
     stdin = "".join(line + "\n" for line in before + [bad] + after)
     code, out, err = run(["map", "--bijection", map_id, "--r", str(r)], stdin)
     parse = cli._PARSERS[map_id]
-    images = [bijections.MAPS[map_id](parse(line, r), r).text() for line in before]
+    images = [bijections.MAPS[map_id](parse(line), r).text() for line in before]
     assert code == 2
     assert err.startswith(f"error: line {len(before) + 1}: ") and err.count("\n") == 1, err
     assert out == "".join(image + "\n" for image in images)
@@ -433,7 +446,7 @@ def test_map_bounds_the_weight_of_an_object_from_obar(bijection, r):
     code, out, err = run(argv, f"~{limit}\n")
     assert (code, err) == (0, "")
     parse = cli._PARSERS[bijections.INVERSE[bijection]]
-    assert parse(out, r).weight == limit
+    assert parse(out).weight == limit
     refused = f"error: line 2: the weight of an input object must be at most {limit}, got {limit + 1}\n"
     assert run(argv, f"~{limit}\n~{limit + 1}\n") == (2, out, refused)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -24,12 +24,10 @@ overpartitions = st.builds(
 )
 
 
-@st.composite
-def colored_partitions(draw):
-    r = draw(st.sampled_from([2, 4, 6]))
-    sizes = draw(st.lists(st.integers(min_value=0, max_value=12).map(lambda k: 2 * k + 1), max_size=10))
-    colors = [draw(st.sampled_from([1, 2])) if size > r else 1 for size in sizes]
-    return ColoredPartition(zip(sizes, colors), r)
+odd_sizes = st.integers(min_value=0, max_value=12).map(lambda k: 2 * k + 1)
+colored_partitions = st.builds(
+    ColoredPartition, st.lists(st.tuples(odd_sizes, st.sampled_from([1, 2])), max_size=10)
+)
 
 
 def print_order(op):
@@ -98,52 +96,47 @@ class TestOverpartitionType:
 
 class TestColoredPartitionType:
     def test_normalizes(self):
-        c = ColoredPartition([(3, 2), (3, 1), (5, 2)], 2)
+        c = ColoredPartition([(3, 2), (3, 1), (5, 2)])
         assert c.parts == ((5, 2), (3, 1), (3, 2))
         assert c.weight == 11
 
     def test_rejects_even_size_and_bad_color(self):
         with pytest.raises(ValueError):
-            ColoredPartition([(4, 1)], 2)
+            ColoredPartition([(4, 1)])
         with pytest.raises(ValueError):
-            ColoredPartition([(3, 3)], 2)
+            ColoredPartition([(3, 3)])
         with pytest.raises(ValueError):
-            ColoredPartition([(True, 1)], 2)
+            ColoredPartition([(True, 1)])
         with pytest.raises(ValueError):
-            ColoredPartition([(3, 1.0)], 2)
+            ColoredPartition([(3, 1.0)])
         with pytest.raises(ValueError):
-            ColoredPartition([(5, True)], 2)
+            ColoredPartition([(5, True)])
         with pytest.raises(ValueError):
-            ColoredPartition([("3", 1)], 2)
+            ColoredPartition([("3", 1)])
         with pytest.raises(ValueError):
-            ColoredPartition([(3,)], 2)
-
-    def test_second_color_needs_large_size(self):
-        with pytest.raises(ValueError):
-            ColoredPartition([(1, 2)], 2)
-        ColoredPartition([(3, 2)], 2)
-
-    def test_context_must_be_even(self):
-        with pytest.raises(ValueError):
-            ColoredPartition([], 3)
+            ColoredPartition([(3,)])
 
     def test_text_forms(self):
-        assert ColoredPartition([(1, 1), (5, 2)], 2).text() == "5_2 1_1"
-        assert ColoredPartition((), 2).text() == "-"
-        assert ColoredPartition.from_text("5_2 1_1", 2).parts == ((5, 2), (1, 1))
-        assert ColoredPartition.from_text("-", 4) == ColoredPartition((), 4)
+        assert ColoredPartition([(1, 1), (5, 2)]).text() == "5_2 1_1"
+        assert ColoredPartition(()).text() == "-"
+        assert ColoredPartition.from_text("5_2 1_1").parts == ((5, 2), (1, 1))
+        assert ColoredPartition.from_text("-") == ColoredPartition(())
 
-    @given(colored_partitions())
+    @given(colored_partitions)
     def test_text_parses_back(self, colored):
-        assert ColoredPartition.from_text(colored.text(), colored.r) == colored
+        assert ColoredPartition.from_text(colored.text()) == colored
 
     @pytest.mark.parametrize(
         "bad",
-        ["5_3", "4_1", "1_2", "3_2 3_1", "1_1 3_1", "x_1", "05_1", "\u0663_1", "3_1\xa01_1", "3_1  1_1"],
+        ["5_3", "4_1", "3_2 3_1", "1_1 3_1", "x_1", "05_1", "\u0663_1", "3_1\xa01_1", "3_1  1_1"],
     )
     def test_from_text_rejects(self, bad):
         with pytest.raises(ValueError):
-            ColoredPartition.from_text(bad, 2)
+            ColoredPartition.from_text(bad)
+
+    def test_second_color_parses_at_any_size(self):
+        # The bound on the second color is po2's, not the type's.
+        assert ColoredPartition.from_text("1_2") == ColoredPartition([(1, 2)])
 
 
 class TestFamilyId:
@@ -248,7 +241,7 @@ class TestEnumerate:
         assert enumerate_family(Family("p"), 0) == (Partition(),)
         assert enumerate_family(Family("pbar"), 0) == (Overpartition(),)
         assert enumerate_family(Family("obar", 3), 0) == (Overpartition(),)
-        assert enumerate_family(Family("po2", 2), 0) == (ColoredPartition((), 2),)
+        assert enumerate_family(Family("po2", 2), 0) == (ColoredPartition(()),)
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
@@ -326,9 +319,9 @@ def reference_overpartitions(n):
             yield Overpartition._trusted(overlined, tuple(remaining))
 
 
-def two_colored_odd(n, r):
+def two_colored_odd(n):
     """Every odd-part partition of ``n`` with each part in either color, in
-    canonical order; colors are not checked against ``r``."""
+    canonical order."""
     for parts in reference_partitions(n, n):
         if any(part % 2 == 0 for part in parts):
             continue
@@ -338,7 +331,7 @@ def two_colored_odd(n, r):
             colored = []
             for size, mult, second in zip(sizes, mults, seconds):
                 colored += [(size, 1)] * (mult - second) + [(size, 2)] * second
-            yield ColoredPartition._trusted(tuple(colored), r)
+            yield ColoredPartition._trusted(tuple(colored))
 
 
 def base_family(kind, n, r):
@@ -346,7 +339,7 @@ def base_family(kind, n, r):
     if kind in ("pbar", "obar"):
         return reference_overpartitions(n)
     if kind == "po2":
-        return two_colored_odd(n, r)
+        return two_colored_odd(n)
     return map(Partition, reference_partitions(n, n))
 
 
@@ -369,7 +362,7 @@ class TestGeneratorsMatchTheFilter:
         rebuild = {
             Partition: lambda x: Partition(x.parts),
             Overpartition: lambda x: Overpartition(x.overlined, x.plain),
-            ColoredPartition: lambda x: ColoredPartition(x.parts, x.r),
+            ColoredPartition: lambda x: ColoredPartition(x.parts),
         }
         families = [Family("p"), Family("pbar")] + [
             Family(kind, r) for kind in ("pmex", "obar", "pe", "po2") for r in range(1, 7)
@@ -485,7 +478,14 @@ class TestIsMember:
         assert is_member(Family("pe", 1), Partition([2, 1]))
 
     def test_po2_predicate(self):
-        assert is_member(Family("po2", 2), ColoredPartition([(3, 2)], 2))
-        assert not is_member(Family("po2", 4), ColoredPartition([(3, 2)], 2))
-        assert not is_member(Family("po2", 4), ColoredPartition([(5, 2)], 2))  # r must match
-        assert is_member(Family("po2", 4), ColoredPartition([(5, 2)], 4))
+        assert is_member(Family("po2", 2), ColoredPartition([(3, 2)]))
+        assert not is_member(Family("po2", 4), ColoredPartition([(3, 2)]))
+        assert is_member(Family("po2", 4), ColoredPartition([(5, 2), (3, 1)]))
+
+    @pytest.mark.parametrize("r", [2, 4, 6])
+    def test_po2_second_color_needs_size_above_r(self, r):
+        family = Family("po2", r)
+        for size in range(1, r + 1, 2):
+            assert not is_member(family, ColoredPartition([(size, 2)])), size
+            assert is_member(family, ColoredPartition([(size, 1)])), size
+        assert is_member(family, ColoredPartition([(r + 1, 2)]))

@@ -9,7 +9,6 @@ the properties check that both accept exactly the same strings.
 import argparse
 import re
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexpart import ColoredPartition, Overpartition, Partition, cli
@@ -64,7 +63,7 @@ def reference_overpartition(text: str):
         return None
 
 
-def reference_colored(text: str, r: int):
+def reference_colored(text: str):
     tokens = _tokens(text, COLORED_LINE)
     if tokens is None:
         return None
@@ -74,8 +73,8 @@ def reference_colored(text: str, r: int):
         if s1 < s2 or (s1 == s2 and c1 > c2):
             return None
     try:
-        return ColoredPartition(pairs, r)
-    except ValueError:  # an even size, or the second color at or below r
+        return ColoredPartition(pairs)
+    except ValueError:  # an even size
         return None
 
 
@@ -131,12 +130,10 @@ def test_overpartition_parser_accepts_exactly_the_grammar(text):
     _check(_parsed(Overpartition.from_text, text), reference_overpartition(text), text)
 
 
-@pytest.mark.parametrize("r", [2, 4])
 @thorough
-@given(text=lines)
-def test_colored_parser_accepts_exactly_the_grammar(r, text):
-    got = _parsed(lambda t: ColoredPartition.from_text(t, r), text)
-    _check(got, reference_colored(text, r), text)
+@given(lines)
+def test_colored_parser_accepts_exactly_the_grammar(text):
+    _check(_parsed(ColoredPartition.from_text, text), reference_colored(text), text)
 
 
 @thorough

@@ -30,14 +30,14 @@ def test_value_types_compare_and_hash_by_their_fields():
     pairs = [
         (Partition([1, 3, 1]), Partition._trusted((3, 1, 1))),
         (Overpartition([1, 4], [2, 3]), Overpartition._trusted((4, 1), (3, 2))),
-        (ColoredPartition([(1, 1), (5, 2)], 4), ColoredPartition._trusted(((5, 2), (1, 1)), 4)),
+        (ColoredPartition([(1, 1), (5, 2)]), ColoredPartition._trusted(((5, 2), (1, 1)))),
         (TruncatedSeries([1, 0, 2]), TruncatedSeries((1, 0, 2))),
     ]
     for a, b in pairs:
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert {a: "found"}[b] == "found"
-    assert ColoredPartition([(5, 1)], 2) != ColoredPartition([(5, 1)], 4)
+    assert ColoredPartition([(5, 1)]) != ColoredPartition([(5, 2)])
     assert Partition([3, 1]) != Partition([3])
     assert Overpartition([2], []) != Overpartition([], [2])
     assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])

@@ -16,8 +16,7 @@ MEMOS = (partitions._size_token, partitions._overpartition_token, partitions._co
 PARSERS = {
     "Partition": Partition.from_text,
     "Overpartition": Overpartition.from_text,
-    "ColoredPartition r=2": lambda text: ColoredPartition.from_text(text, 2),
-    "ColoredPartition r=4": lambda text: ColoredPartition.from_text(text, 4),
+    "ColoredPartition": ColoredPartition.from_text,
 }
 
 
@@ -69,7 +68,7 @@ def test_warm_memo_gives_the_cold_verdict(name, texts):
         (Partition.from_text, "1", "01", "not a canonical Partition line: '01'; it prints as '1'"),
         (Overpartition.from_text, "~3", "~03", "not a canonical Overpartition line: '~03'; it prints as '~3'"),
         (
-            lambda text: ColoredPartition.from_text(text, 2), "5_1", "05_1",
+            lambda text: ColoredPartition.from_text(text), "5_1", "05_1",
             "not a canonical ColoredPartition line: '05_1'; it prints as '5_1'",
         ),
     ],
@@ -87,7 +86,7 @@ def test_near_miss_is_refused_after_its_canonical_form(parse, warm, line, messag
     [
         (Partition.from_text, partitions._size_token, str),
         (Overpartition.from_text, partitions._overpartition_token, lambda k: f"~{k}"),
-        (lambda text: ColoredPartition.from_text(text, 2), partitions._colored_token, lambda k: f"{2 * k + 1}_1"),
+        (lambda text: ColoredPartition.from_text(text), partitions._colored_token, lambda k: f"{2 * k + 1}_1"),
     ],
 )
 def test_memo_holds_at_most_its_bound(parse, memo, token):
