@@ -10,15 +10,17 @@ Three forward/inverse pairs, all landing in the ``obar`` overpartitions
 * ``even_forward`` / ``even_inverse``: from two-colored odd partitions
   with an even r (the ``po2`` family).  Ids ``even`` / ``eveninv``.
 
-The registry at the end of this module (``MAPS``, ``INVERSE``, ``DOMAIN``
-and ``map_families``) is the one place where a bijection's id, inverse and
-domain are written down; the command line, the oracle and the reference
-tables all read it.  A map's r rule is that of its domain and codomain
+The registry at the end of this module (``MAPS``, ``INVERSE``,
+``UNCHECKED``, ``DOMAIN`` and ``map_families``) is the one place where a
+bijection's id, inverse and domain are written down; the command line, the
+oracle and the reference tables all read it.  A map's r rule is that of its domain and codomain
 :class:`Family`, so no map checks the parity of r itself.
 
 Each map checks its input once, on entry, and builds its image with the
 private ``_trusted`` constructors: the image is canonical by construction,
 so the public constructors' sorting and checks would only repeat work.
+A map whose check is a membership test is that test followed by a private
+body, which ``UNCHECKED`` gives for callers that have already made it.
 """
 
 from __future__ import annotations
@@ -141,6 +143,10 @@ def mex_inverse(op: Overpartition, r: int) -> Partition:
     """Map an ``obar`` overpartition back: conjugate the overlined parts and
     add the plain parts part-wise."""
     _check_domain("t5inv", op, r)
+    return _mex_inverse(op, r)
+
+
+def _mex_inverse(op: Overpartition, r: int) -> Partition:
     return oplus(conjugate(Partition._trusted(op.overlined)), Partition._trusted(op.plain))
 
 
@@ -148,6 +154,10 @@ def odd_forward(p: Partition, r: int) -> Overpartition:
     """Map a ``pe`` partition (odd r): merge the odd parts into distinct
     overlined ones, keep the even parts plain."""
     _check_domain("odd", p, r)
+    return _odd_forward(p, r)
+
+
+def _odd_forward(p: Partition, r: int) -> Overpartition:
     overlined = _merge([x for x in p.parts if x % 2 == 1])
     plain = [x for x in p.parts if x % 2 == 0]
     return Overpartition._trusted(tuple(overlined), tuple(plain))
@@ -157,6 +167,10 @@ def odd_inverse(op: Overpartition, r: int) -> Partition:
     """Inverse of :func:`odd_forward`: split the overlined parts into odd
     ones and take the union with the plain parts."""
     _check_domain("oddinv", op, r)
+    return _odd_inverse(op, r)
+
+
+def _odd_inverse(op: Overpartition, r: int) -> Partition:
     parts = _split(op.overlined)
     parts += op.plain
     parts.sort(reverse=True)
@@ -167,6 +181,10 @@ def even_forward(colored: ColoredPartition, r: int) -> Overpartition:
     """Map a ``po2`` colored partition (even r): merge the first-color sizes
     into distinct overlined parts, keep the second-color sizes plain."""
     _check_domain("even", colored, r)
+    return _even_forward(colored, r)
+
+
+def _even_forward(colored: ColoredPartition, r: int) -> Overpartition:
     overlined = _merge([size for size, color in colored.parts if color == 1])
     plain = [size for size, color in colored.parts if color == 2]
     return Overpartition._trusted(tuple(overlined), tuple(plain))
@@ -176,6 +194,10 @@ def even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     """Inverse of :func:`even_forward`: split the overlined parts into odd
     first-color sizes and give the plain parts the second color."""
     _check_domain("eveninv", op, r)
+    return _even_inverse(op, r)
+
+
+def _even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     parts = [(s, 1) for s in _split(op.overlined)] + [(s, 2) for s in op.plain]
     # Stable, so each size keeps its first-color copies ahead of the second.
     parts.sort(key=_SIZE, reverse=True)
@@ -194,6 +216,16 @@ INVERSE = {
     "t5": "t5inv", "t5inv": "t5",
     "odd": "oddinv", "oddinv": "odd",
     "even": "eveninv", "eveninv": "even",
+}
+# The body of each map whose check is a membership test: the map without
+# that test, for a caller that has just made it at the same r.  A map not
+# listed, such as ``mex_forward`` (its check is the mex run it computes
+# anyway), is its own body.  The bodies take r only to be called as the maps
+# are; none reads it.
+UNCHECKED = {
+    mex_inverse: _mex_inverse,
+    odd_forward: _odd_forward, odd_inverse: _odd_inverse,
+    even_forward: _even_forward, even_inverse: _even_inverse,
 }
 # Family kind of each map's domain; its codomain is the domain of its inverse.
 DOMAIN = {

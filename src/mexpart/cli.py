@@ -38,10 +38,13 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The largest degree `gf` computes, whether it comes from `--degree` or from
 # MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
 # writes about 8 MB and peaks at 22 MB resident.  It takes 1.6-2.1 s for
-# r = 2 and 8 and 2.8-3.2 s for r = 3, but each finite factor up to the
-# degree costs one pass, O(degree * min(r, degree)) in all: 3.6 s at degree
-# 10000 with r = 10000, 12.8 s at 20000 with r = 20000, and 83 s at the
-# ceiling with r = 50000 (2-CPU shared x86-64 host, CPython 3.11).
+# r = 2 and 8 and 2.5-3.2 s for r = 3.  Each factor (1 - q^e) it applies
+# costs one pass over the coefficients from q^e up, and gf_pmex applies the
+# finite factors below r or the tail factors above r, whichever update
+# fewer coefficients.  At the ceiling that is 30 s for r = 10000, 41 s near
+# r = 14645 (0.29 * degree, the slowest), 24 s for r = 25000, 12 s for
+# r = 33333 and 2.7 s for r = 50000, which took 83 s with the finite
+# factors alone (2-CPU shared x86-64 host, CPython 3.11).
 # It is also the largest weight of an object `map` takes from obar, the one
 # domain whose maps can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of

@@ -5,10 +5,13 @@ tuple is the unique partition of 0.  Everything here is an immutable value
 and every operation is a pure function, so concurrent use is safe.
 
 The printer is the textual grammar of every object type: ``from_text``
-accepts a line iff its tokens convert, the public constructor accepts the
-result and that object's ``text()`` gives back the stripped line.  Tokens
-convert through bounded memos (``TOKEN_MEMO_SIZE`` strings per type) that
-stand in for ``int`` and decide nothing about the line.
+accepts a line iff it is exactly how the object it reads as prints.  That
+is decided from the tokens alone, in one pass: each token goes through a
+bounded memo (``TOKEN_MEMO_SIZE`` strings per type) that gives the part it
+stands for only if the token is how that part prints, and the parts must
+come in print order.  An accepted line is wrapped with ``_trusted``; a
+refused one is converted with ``int``, built by the public constructor and
+printed, only to word the same message as always.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 __all__ = [
     "INFINITE",
@@ -81,7 +84,15 @@ class Partition:
     @classmethod
     def from_text(cls, text: str) -> "Partition":
         """Parse one line: exactly what :meth:`text` prints, nothing else."""
-        return _from_text(cls, text, _partition_arguments)
+        line = text.strip()
+        tokens = _tokens(line)
+        sizes = list(map(_size_token, tokens))
+        last = _UNBOUNDED
+        for size in sizes:
+            if size is None or size > last:
+                _refuse(cls, line, tokens, _partition_arguments)
+            last = size
+        return cls._trusted(tuple(sizes))
 
 
 def _descending(parts: Iterable[int]) -> tuple[int, ...]:
@@ -104,71 +115,89 @@ def _require_int(value, least: int, name: str) -> int:
 
 
 # The most token strings each parser's memo holds.  A memo maps a token to
-# what ``int`` makes of its pieces, a pure function of the string, so a line
-# gets the same verdict and message whether its tokens are cached or not;
-# only the printed-form check in ``_from_text`` decides what is canonical.
-# One stream of objects reuses few tokens (the partitions of 34 use 34
-# sizes), so nearly every lookup hits, and the bound keeps a stream of fresh
-# tokens from growing a memo.
+# the part it stands for when the token is exactly how that part prints, and
+# to None otherwise: a pure function of the string, so a line gets the same
+# verdict and message whether its tokens are cached or not.  One stream of
+# objects reuses few tokens (the partitions of 34 use 34 sizes), so nearly
+# every lookup hits, and the bound keeps a stream of fresh tokens from
+# growing a memo.
 TOKEN_MEMO_SIZE = 1024
 
+# Above every size, so that the first part of a line is in print order.
+_UNBOUNDED = float("inf")
+
+
+def _printed_size(token: str) -> int | None:
+    """The positive integer that prints as ``token``, or None: ASCII digits
+    without a leading zero, no sign, no ``_``, no space."""
+    try:
+        size = int(token)
+    except ValueError:
+        return None
+    return size if size > 0 and str(size) == token else None
+
 
 @lru_cache(maxsize=TOKEN_MEMO_SIZE)
-def _size_token(token: str) -> int:
-    """The part of a ``Partition`` token such as ``7``."""
-    return int(token)
+def _size_token(token: str) -> int | None:
+    """The part a ``Partition`` token such as ``7`` prints, or None."""
+    return _printed_size(token)
 
 
 @lru_cache(maxsize=TOKEN_MEMO_SIZE)
-def _overpartition_token(token: str) -> tuple[int, bool]:
-    """(size, overlined) of an ``Overpartition`` token such as ``~6`` or ``3``."""
-    return (int(token[1:]), True) if token[:1] == "~" else (int(token), False)
+def _overpartition_token(token: str) -> tuple[int, bool] | None:
+    """(size, overlined) of an ``Overpartition`` token such as ``~6`` or
+    ``3``, or None."""
+    overlined = token[:1] == "~"
+    size = _printed_size(token[1:] if overlined else token)
+    return None if size is None else (size, overlined)
 
 
 @lru_cache(maxsize=TOKEN_MEMO_SIZE)
-def _colored_token(token: str) -> tuple[int, int]:
-    """(size, color) of a ``ColoredPartition`` token such as ``5_2``."""
-    size, color = token.split("_")
-    return int(size), int(color)
+def _colored_token(token: str) -> tuple[int, int] | None:
+    """(size, color) of a ``ColoredPartition`` token such as ``5_2``, or
+    None: the size odd, the color 1 or 2."""
+    size, _, color = token.partition("_")
+    odd = _printed_size(size)
+    if odd is None or odd % 2 == 0 or color not in ("1", "2"):
+        return None
+    return odd, int(color)
 
 
+def _tokens(line: str) -> list[str]:
+    """The stripped ``line`` split on single spaces; none for ``-``."""
+    return [] if line == "-" else line.split(" ")
+
+
+# What ``int`` makes of a refused line's tokens, as constructor arguments.
 def _partition_arguments(tokens: list[str]) -> tuple[list[int]]:
-    return (list(map(_size_token, tokens)),)
+    return (list(map(int, tokens)),)
 
 
 def _overpartition_arguments(tokens: list[str]) -> tuple[list[int], list[int]]:
-    overlined: list[int] = []
-    plain: list[int] = []
-    for token in tokens:
-        size, over = _overpartition_token(token)
-        (overlined if over else plain).append(size)
-    return overlined, plain
+    overlined = [int(token[1:]) for token in tokens if token[:1] == "~"]
+    return overlined, [int(token) for token in tokens if token[:1] != "~"]
 
 
 def _colored_arguments(tokens: list[str]) -> tuple[list[tuple[int, int]]]:
-    return (list(map(_colored_token, tokens)),)
+    pieces = [token.split("_") for token in tokens]
+    return ([(int(size), int(color)) for size, color in pieces],)
 
 
-def _from_text(cls, text: str, arguments):
-    """``cls(*arguments(tokens))`` for the tokens of one line,
-    accepted iff its ``text()`` is the stripped line.
+def _refuse(cls, line: str, tokens: list[str], arguments) -> NoReturn:
+    """Raise the error for a ``cls`` line that the token pass refused.
 
-    The tokens are the stripped line split on single spaces (none for the
-    empty object ``-``); ``arguments`` converts them with ``int``.  The
-    constructor's own ValueError propagates; a line whose tokens do not
-    convert, or that is not how the object prints, gets one message.
+    The message is worded from the route that once decided acceptance:
+    ``arguments`` converts the tokens with ``int`` and the public
+    constructor builds the object.  Tokens that do not convert get one
+    message, the constructor's own ValueError propagates, and otherwise the
+    message shows how the object prints.
     """
-    line = text.strip()
     try:
-        args = arguments([] if line == "-" else line.split(" "))
+        args = arguments(tokens)
     except ValueError:
         raise ValueError(f"not a canonical {cls.__name__} line: {line!r}") from None
-    obj = cls(*args)
-    if obj.text() != line:
-        raise ValueError(
-            f"not a canonical {cls.__name__} line: {line!r}; it prints as {obj.text()!r}"
-        )
-    return obj
+    printed = cls(*args).text()
+    raise ValueError(f"not a canonical {cls.__name__} line: {line!r}; it prints as {printed!r}")
 
 
 class _InfiniteLength:

@@ -154,25 +154,33 @@ class TestGfPmex:
     def test_degree_zero(self, r):
         assert gf_pmex(r, 0).coeffs == (1,)
 
-    @pytest.mark.parametrize("degree", [1, 2, 7, 40])
+    @pytest.mark.parametrize("degree", [1, 2, 7, 40, 61, 200])
     def test_applies_no_factor_above_the_degree(self, monkeypatch, degree):
         # (1 - q^e) with e > degree is 1 up to q^degree, so every r >= degree
         # gives the same series, and a huge r costs no more factor passes.
+        # Each r takes the cheaper route, finite factors below r or tail
+        # factors above it: at most (degree + 1)^2 / 8 coefficient updates.
         expected = gf_pmex(degree, degree)
-        times_one_minus = qseries._times_one_minus
+        bound = (degree + 1) ** 2 // 8
         calls = []
 
-        def counted(coeffs, e):
-            calls.append(e)
-            if len(calls) > degree + 1:
-                raise AssertionError(f"more than {degree + 1} factor passes")
-            times_one_minus(coeffs, e)
+        def counting(apply):
+            def counted(coeffs, e):
+                calls.append(e)
+                if sum(degree + 1 - done for done in calls) > bound:
+                    raise AssertionError(f"factor passes update more than {bound} coefficients")
+                apply(coeffs, e)
 
-        monkeypatch.setattr(qseries, "_times_one_minus", counted)
-        for r in (10**12, 10**12 + 1):
+            return counted
+
+        for name in ("_times_one_minus", "_times_inverse_one_minus"):
+            monkeypatch.setattr(qseries, name, counting(getattr(qseries, name)))
+        for r in [*range(1, degree + 4), 10**12, 10**12 + 1]:
             calls.clear()
-            assert qseries.gf_pmex(r, degree) == expected
+            series = qseries.gf_pmex(r, degree)
             assert all(e <= degree for e in calls)
+            if r >= degree:
+                assert series == expected
 
 
 def product(r, degree):
@@ -207,6 +215,22 @@ class TestGfPmexMatchesTheProduct:
     @example(12, 1)
     def test_small(self, r, degree):
         assert gf_pmex(r, degree) == product(r, degree)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7, 30, 61])
+    def test_both_routes_agree_with_the_product(self, monkeypatch, degree):
+        # Small r divides out the finite factors below r, large r the tail
+        # factors above it; every r up to past the degree takes one of them.
+        divide = qseries._times_inverse_one_minus
+        tail = []
+
+        def counted(coeffs, e):
+            tail.append(e)
+            divide(coeffs, e)
+
+        monkeypatch.setattr(qseries, "_times_inverse_one_minus", counted)
+        for r in range(1, degree + 4):
+            assert qseries.gf_pmex(r, degree) == product(r, degree)
+        assert bool(tail) == (degree >= 7)
 
     def test_calls_neither_dense_product(self, monkeypatch):
         def refuse(*args):
