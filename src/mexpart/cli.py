@@ -12,11 +12,20 @@ Output is written as it is produced.  The ``--bijection`` choices, each
 map's input parser and its r rule all come from the registry in
 :mod:`mexpart.bijections`; the ``--family`` choices from
 :data:`mexpart.families.FAMILY_KINDS`.
+
+The ``mexpart`` command (:func:`main`) first freezes the heap its imports
+built, so that the collections at interpreter shutdown skip it.  From the
+moment the imports are done to exit, a process of ``count --family p --n 1``
+took 20.9 ms without the freeze and 8.5 ms with it, and one of ``gf --r 3
+--degree 3000`` 59 ms and 45 ms (medians of 41 processes each, one CPU of a
+shared 2-CPU x86-64 host, CPython 3.11).  :func:`run` does not touch the
+collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -220,8 +229,9 @@ def _cmd_map(args, stdin) -> int:
 def _cmd_gf(args, stdin) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
     _at_most(degree, MAX_DEGREE, DEGREE_ENV_VAR if args.degree is None else "--degree")
+    write = sys.stdout.write
     for n, value in enumerate(gf_pmex(args.r, degree).coeffs):
-        print(f"{n}\t{value}")
+        write(f"{n}\t{value}\n")
     return 0
 
 
@@ -282,6 +292,14 @@ def run(argv, stdin=None) -> tuple[int, str, str]:
 def main() -> int:
     """The ``mexpart`` command: streams to stdout and returns the exit code,
     141 (as for SIGPIPE) when the reader of stdout leaves early."""
+    # Move the import-time heap (about 13.8k tracked objects, which live
+    # until exit anyway) into the collector's permanent generation, so that
+    # the collections at interpreter shutdown skip it: after importing this
+    # module, sys.exit(0) took 12-15 ms, or 3.5-3.9 ms with this freeze
+    # first (medians, one CPU of a shared 2-CPU x86-64 host, CPython 3.11).
+    # What the run allocates stays collectable.  Only the process entry
+    # freezes; run() and importing mexpart leave the collector alone.
+    gc.freeze()
     out = sys.stdout
     if not out.isatty():
         out = open(out.fileno(), "w", buffering=_PIPE_BUFFER, encoding=out.encoding, closefd=False)

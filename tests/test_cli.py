@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import os
@@ -18,6 +19,13 @@ from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _env(**extra):
+    """The environment for a ``python -m mexpart`` subprocess: this
+    checkout's ``src`` first on ``PYTHONPATH``, plus ``extra``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_count_po2():
@@ -78,7 +86,7 @@ def test_map_even_refuses_a_colored_line_outside_po2_at_its_r():
     argv = ["map", "--bijection", "even", "--r", "4"]
     expected = (2, "5\n", "error: line 2: '3_2' is not in family 'po2' at r=4\n")
     assert run(argv, "5_2\n3_2\n") == expected
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = _env()
     proc = subprocess.run(
         [sys.executable, "-m", "mexpart", *argv], input=b"5_2\n3_2\n", capture_output=True, env=env, timeout=60
     )
@@ -270,33 +278,86 @@ def test_choices_come_from_the_registries():
     assert tuple(_choices("enumerate", "--family")) == FAMILY_KINDS
 
 
+def _first_line_then_close(argv):
+    """Run ``python -m mexpart ARGV``, read one line of its stdout and close
+    the pipe, as ``| head -n 1`` does; (that line, exit code, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mexpart", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return line, code, err
+
+
 def test_closed_stdout_ends_quietly():
     # `mexpart enumerate --family pbar --n 27 | head -1`: the reader leaves
     # after one line of about 1 MB of output
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mexpart", "enumerate", "--family", "pbar", "--n", "27"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"27\n"
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 141
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    assert _first_line_then_close(["enumerate", "--family", "pbar", "--n", "27"]) == (b"27\n", 141, b"")
 
 
 def test_closed_stdout_ends_quietly_while_streaming():
     # `mexpart enumerate --family obar --n 40 --r 1 | head -1`, about 740 kB
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mexpart", "enumerate", "--family", "obar", "--n", "40", "--r", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    assert _first_line_then_close(["enumerate", "--family", "obar", "--n", "40", "--r", "1"]) == (b"40\n", 141, b"")
+
+
+def test_closed_stdout_ends_quietly_after_gf():
+    # `mexpart gf --r 3 --degree 50000 | head -1`, about 8 MB written one
+    # line per write call
+    assert _first_line_then_close(["gf", "--r", "3", "--degree", str(cli.MAX_DEGREE)]) == (b"0\t1\n", 141, b"")
+
+
+def _collector_state():
+    return gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code",
+    [
+        (["count", "--family", "p", "--n", "5"], None, 0),
+        (["enumerate", "--family", "pmex", "--n", "7", "--r", "2"], None, 0),
+        (["map", "--bijection", "t5", "--r", "2"], "8 7 3 2 1 1\n", 0),
+        (["map", "--bijection", "t5", "--r", "2"], "7\n3 4\n", 2),  # line 2 is refused
+        (["gf", "--r", "3", "--degree", "7"], None, 0),
+        (["verify", "--max-n", "4", "--max-r", "2"], None, 0),
+        (["table", "--id", "4"], None, 0),
+        (["count", "--family", "p"], None, 2),  # usage error: no --n
+    ],
+    ids=["count", "enumerate", "map", "map-refused", "gf", "verify", "table", "usage-error"],
+)
+def test_run_leaves_the_collector_as_it_found_it(argv, stdin, code):
+    # Only the command's process entry, main(), freezes the heap; a library
+    # caller or a test that calls run() keeps its collector as it was.
+    before = _collector_state()
+    assert run(argv, stdin)[0] == code
+    assert _collector_state() == before
+
+
+def test_the_command_freezes_the_import_time_heap():
+    # main() is the process entry: nothing is frozen when it is called and
+    # the import-time heap is frozen when it returns, with the usual output.
+    script = (
+        "import gc, sys\n"
+        "from mexpart.cli import main\n"
+        "before = gc.get_freeze_count()\n"
+        "sys.argv = ['mexpart', 'count', '--family', 'p', '--n', '1']\n"
+        "code = main()\n"
+        "print(before, gc.get_freeze_count(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
     )
-    assert proc.stdout.readline() == b"40\n"
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 141
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, b"1\n")
+    before, after = map(int, proc.stderr.split())
+    assert before == 0 and after > 0
+
+
+@pytest.mark.parametrize("degree", ["0", "3000"])
+def test_gf_command_writes_what_run_returns(degree):
+    argv = ["gf", "--r", "3", "--degree", degree]
+    proc = subprocess.run([sys.executable, "-m", "mexpart", *argv], capture_output=True, env=_env(), timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(argv)
 
 
 @pytest.mark.parametrize(
@@ -399,8 +460,7 @@ def test_run_splits_lines_as_the_command_does(mark):
     # breaks only at \n, so the command refuses line 2 after line 1's image.
     stdin = f"3 2\n3{mark}2\n1\n"
     argv = ["map", "--bijection", "t5", "--r", "1"]
-    env = dict(os.environ, PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = _env(PYTHONIOENCODING="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "mexpart", *argv], input=stdin.encode(), capture_output=True, env=env, timeout=60
     )
@@ -449,7 +509,7 @@ def test_map_bounds_the_weight_of_an_object_from_obar(bijection, r):
     assert parse(out).weight == limit
     refused = f"error: line 2: the weight of an input object must be at most {limit}, got {limit + 1}\n"
     assert run(argv, f"~{limit}\n~{limit + 1}\n") == (2, out, refused)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = _env()
     proc = subprocess.run(
         [sys.executable, "-m", "mexpart", *argv], input=f"~{limit + 1}\n".encode(), capture_output=True, env=env,
         timeout=60,
