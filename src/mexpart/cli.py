@@ -64,10 +64,13 @@ MAX_DEGREE = 50_000
 # --max-r of `verify`; above them the command exits 2.  A family grows about
 # 1.25-fold per unit of n, `pbar` the fastest.  At the ceilings (2-CPU shared
 # x86-64 host, CPython 3.11): `enumerate --family pbar --n 42` 7.2 s at a
-# 16 MB peak, `count --family pbar --n 42` 0.3-0.4 s at 16 MB (`count` builds
-# no member), and `verify --max-n 32 --max-r 16` 9.2-11.1 s at 21 MB, against
-# 7.4-9.6 s for `--max-r 8`, the acceptance size.  Unbounded, `verify --max-n
-# 2 --max-r 20000` ran for 25 s at 150 MB.
+# 16 MB peak, `count --family pbar --n 42` 0.08-0.09 s at 16 MB, nearly all
+# of it interpreter start (`count` reads one coefficient of the family's
+# series and builds no member; `pmex` walks the partitions of 42 once, in
+# 0.25-0.27 s), and `verify --max-n 32 --max-r 16` 9.2-9.7 s at 21 MB,
+# against 6.4-6.6 s for `--max-r 8`, the acceptance size, nearly all of it
+# the round trips.  Unbounded, `verify --max-n 2 --max-r 20000` ran for 25 s
+# at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32
 MAX_VERIFY_R = 16

@@ -12,25 +12,26 @@ names the command line uses:
 ``po2``     odd-part partitions, two colors allowed on sizes above r (r even)
 ==========  =============================================================
 
-Each family's rule is written once, in ``_rule``, in two parts.  The walk:
-partitions in descending lexicographic order over only the sizes the
-family allows, each size that must be overlined at most once, and for
-``pmex`` the partitions whose mex run has length >= r, an open run
-counting as long enough (the walk's block sizes, read from the smallest,
-go through the same scan as :func:`~mexpart.mex_sequence`, and the filter
-applies the rule of ``MexSequence.at_least``).  The block patterns: what
-one (size, multiplicity) block becomes in a member, its admissible overline
-or color patterns in canonical order.  ``_members`` expands the rule into
-members; ``_count`` counts by it and builds none, summing over the walk the
-product of each block's number of patterns.  The walk is iterative: one
-explicit stack of (size, multiplicity) blocks, filled greedily and
-backtracked, yields each partition as soon as it is complete.  The
-``pmex`` counts of one weight for every r come from a single walk that
-tallies each partition at the length of its mex run.  :class:`Family`
-holds the r rule and is the only holder of r: the member types carry none,
-so a ``ColoredPartition`` is any two-colored odd partition, and ``po2``'s
-bound on the second color lives, like every family's rule, in ``_rule``
-and :func:`is_member`.
+Each family's rule is written once, in ``_rule``, as data: the sizes the
+walk skips (``pe``'s even sizes below r, ``po2``'s even sizes), the sizes it
+takes at most once (those that must be overlined), for each (size,
+multiplicity) block the number of its overline or color patterns and the
+patterns themselves in canonical order, built when first used, and for
+``pmex`` the filter that keeps the partitions whose mex run has length >= r,
+an open run counting as long enough (the walk's block sizes, read from the
+smallest, go through the same scan as :func:`~mexpart.mex_sequence`, and the
+filter applies the rule of ``MexSequence.at_least``).  ``_members`` expands
+the rule into members: the walk is iterative, one explicit stack of (size,
+multiplicity) blocks, filled greedily and backtracked, that yields each
+partition as soon as it is complete.  ``_series`` counts by the same rule
+and builds no member: a knapsack over the allowed sizes gives every weight
+up to a degree at once.  Every count but ``pmex``'s is a coefficient of that
+series; the ``pmex`` counts of one weight for every r come from a single
+walk that tallies each partition at the length of its mex run.
+:class:`Family` holds the r rule and is the only holder of r: the member
+types carry none, so a ``ColoredPartition`` is any two-colored odd
+partition, and ``po2``'s bound on the second color lives, like every
+family's rule, in ``_rule`` and :func:`is_member`.
 
 The membership predicates stay the definition of every family: the tests
 check each generator against the unrestricted base family filtered through
@@ -51,8 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, starmap
-from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .partitions import _UNBOUNDED, Partition, _descending, _require_int, _tokens, mex_sequence
@@ -300,19 +300,38 @@ def _flat(blocks) -> Partition:
     return Partition._trusted(parts)
 
 
-def _rule(family: Family, n: int):
-    """The one statement of ``family``'s rule at weight ``n``, which
-    :func:`_members` expands and :func:`_count` counts: ``(walk,
-    patterns)``.
+class _Patterns(dict):
+    """Block patterns, each built by ``make(s, m)`` the first time it is
+    looked up; every later lookup is a plain dict hit."""
 
-    ``walk`` yields the block lists of the partitions the family is built
-    on: ``_walk`` with the sizes the family skips and the sizes it takes at
-    most once, and for ``pmex`` the mex-run filter.  ``patterns`` maps each
-    (size, multiplicity) block the walk can yield to what that block becomes
-    in a member, in canonical order: an (overlined, plain) pair of parts for
-    the overpartition kinds, the colored parts for ``po2``.  The partition
-    kinds have one pattern per block, the block's parts, so their
-    ``patterns`` is None.
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, block):
+        value = self[block] = self.make(*block)
+        return value
+
+
+def _one(s: int, m: int) -> int:
+    return 1
+
+
+def _rule(family: Family, n: int):
+    """The one statement of ``family``'s rule at weight ``n``, as data that
+    :func:`_members` expands and :func:`_series` counts: ``(skip, once,
+    count, patterns, keep)``.
+
+    ``skip`` and ``once`` are the sizes the walk skips and the sizes it
+    takes at most once.  ``count(s, m)`` is the number of patterns of the
+    block of ``m`` parts of size ``s``, and ``patterns[s, m]`` those
+    patterns in canonical order, built when first used: an (overlined,
+    plain) pair of parts for the overpartition kinds, the colored parts for
+    ``po2``.  The partition kinds have one pattern per block, the block's
+    parts, so their ``patterns`` is None.  ``keep`` is ``pmex``'s mex-run
+    filter on a walk's blocks, None for every other kind.  Nothing here
+    grows with r: each set of sizes is a range or bounded by ``n``.
     """
     kind, r = family.kind, family.r
     if kind in ("pbar", "obar"):
@@ -320,23 +339,20 @@ def _rule(family: Family, n: int):
         # it occurs once; every other size is plain or has one copy
         # overlined, plain first.
         forced = () if kind == "pbar" else frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
-        patterns = {
-            (s, m): (((s,), ()),) if s in forced else (((), (s,) * m), ((s,), (s,) * (m - 1)))
-            for s in range(1, n + 1) for m in range(1, n // s + 1)
-        }
-        return _walk(n, n, (), forced), patterns
+        return ((), forced, lambda s, m: 1 if s in forced else 2, _Patterns(
+            lambda s, m: (((s,), ()),) if s in forced else (((), (s,) * m), ((s,), (s,) * (m - 1)))
+        ), None)
     if kind == "po2":
         # Odd sizes only.  Above r the second-color count runs 0..m, at or
         # below r it is 0.
-        patterns = {
-            (s, m): tuple(((s, 1),) * (m - c) + ((s, 2),) * c for c in range(m + 1 if s > r else 1))
-            for s in range(1, n + 1, 2) for m in range(1, n // s + 1)
-        }
-        return _walk(n, n, range(2, n + 1, 2), ()), patterns
-    walk = _walk(n, n, range(2, r, 2) if kind == "pe" else (), ())  # pe: no even size below r
+        return (range(2, n + 1, 2), (), lambda s, m: m + 1 if s > r else 1, _Patterns(
+            lambda s, m: tuple(((s, 1),) * (m - c) + ((s, 2),) * c for c in range(m + 1 if s > r else 1))
+        ), None)
     if kind == "pmex":  # block sizes ascend from the last block
-        walk = (b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
-    return walk, None
+        return ((), (), _one, None, lambda walk: (
+            b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r)
+        ))
+    return (range(2, r, 2) if kind == "pe" else (), (), _one, None, None)  # pe: no even size below r
 
 
 def _fan_out(walk, patterns, cls) -> Iterator:
@@ -362,18 +378,45 @@ def _fan_out(walk, patterns, cls) -> Iterator:
 def _members(family: Family, n: int) -> Iterator:
     """The weight-``n`` members of ``family``, lazily, in canonical order."""
     _require_int(n, 0, "weight")
-    walk, patterns = _rule(family, n)
+    skip, once, _, patterns, keep = _rule(family, n)
+    walk = _walk(n, n, skip, once)
+    if keep is not None:
+        walk = keep(walk)
     if patterns is None:
         return map(_flat, walk)
     return _fan_out(walk, patterns, MEMBER_TYPES[family.kind])
 
 
+def _series(family: Family, degree: int) -> list[int]:
+    """``series[n]`` is the number of weight-``n`` members of ``family`` for
+    0 <= n <= ``degree``, for every kind but ``pmex``, building no member
+    and no pattern.
+
+    A knapsack over the sizes the rule allows: the product over them of
+    sum_m count(s, m) q^(s m), with m <= 1 for the sizes taken at most once.
+    Each size's factor is applied in place, from the top coefficient down.
+    """
+    skip, once, count, _, _ = _rule(family, degree)
+    series = [1] + [0] * degree
+    for s in range(1, degree + 1):
+        if s in skip:
+            continue
+        weights = [count(s, m) for m in range(1, (1 if s in once else degree // s) + 1)]
+        for n in range(degree, s - 1, -1):
+            series[n] += sum(map(mul, weights, series[n - s::-s]))
+    return series
+
+
 def _count(family: Family, n: int) -> int:
     """The number of weight-``n`` members of ``family``, building none: the
-    sum over the walk of the product of each block's number of patterns."""
+    coefficient of q^n in the rule's series, and for ``pmex`` the top entry
+    of the one tally of the partitions of ``n``, r clamped to n + 1 (no
+    finite mex run of a weight-``n`` partition is longer than n)."""
     _require_int(n, 0, "weight")
-    walk, patterns = _rule(family, n)
-    return sum(prod([len(patterns[block]) for block in blocks]) if patterns else 1 for blocks in walk)
+    if family.kind == "pmex":
+        r = min(family.r, n + 1)
+        return _pmex_counts(n, r)[r]
+    return _series(family, n)[n]
 
 
 def _pmex_counts(n: int, max_r: int) -> list[int]:

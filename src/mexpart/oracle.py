@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .bijections import INVERSE, MAPS, UNCHECKED, map_families
-from .families import Family, _count, _pmex_counts, enumerate_family, is_member
+from .families import Family, _pmex_counts, _series, enumerate_family, is_member
 from .partitions import _require_int, conjugate, glaisher_split
 from .qseries import gf_pmex
 
@@ -71,13 +71,18 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
     equal the generating-function coefficient and the count of every other
     family that accepts r: ``obar``, plus ``pe`` for odd r or ``po2`` for
     even r.  The ``pmex`` counts of one n, for every r, come from a single
-    walk over the partitions of n; the other families are counted by their
-    block rule (``families._count``).  No member object is built.
+    walk over the partitions of n, tallied by the length of each mex run;
+    each other family's counts for every n come from one series per (family,
+    r), read off its block rule (``families._series``).  No member object is
+    built.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
     series = {r: gf_pmex(r, max_n) for r in range(1, max_r + 1)}
-    others = {r: _families_accepting(r, ("obar", "pe", "po2")) for r in range(1, max_r + 1)}
+    others = {
+        r: [(family, _series(family, max_n)) for family in _families_accepting(r, ("obar", "pe", "po2"))]
+        for r in range(1, max_r + 1)
+    }
     checks = []
     for n in range(max_n + 1):
         pmex = _pmex_counts(n, max_r)
@@ -85,8 +90,8 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
             params = f"n={n} r={r}"
             base = pmex[r]
             checks.append(Check("pmex count = series coefficient", params, series[r][n], base))
-            for family in others[r]:
-                checks.append(Check(f"{family.kind} count = pmex count", params, base, _count(family, n)))
+            for family, counts in others[r]:
+                checks.append(Check(f"{family.kind} count = pmex count", params, base, counts[n]))
     return VerificationReport(tuple(checks))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mexpart import Check, ColoredPartition, Family, Overpartition, Partition, VerificationReport, bijections, cli
 from mexpart import families, gf_pmex, oracle
-from mexpart import enumerate_family
+from mexpart import count_family, enumerate_family
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
 
@@ -46,14 +46,28 @@ def _traced_peak(call):
 
 
 def test_count_holds_no_members():
-    # `count` streams the members: its peak stays a small fraction of the
-    # peak of building the tuple of every member.
+    # `count` reads the coefficient of the family's series and builds no
+    # member: its peak stays a small fraction of the peak of building the
+    # tuple of every member.
     n = 24
     run(["count", "--family", "pbar", "--n", "1"])  # first-call setup outside the trace
     (code, out, err), count_peak = _traced_peak(lambda: run(["count", "--family", "pbar", "--n", str(n)]))
     members, members_peak = _traced_peak(lambda: enumerate_family(Family("pbar"), n))
     assert (code, out, err) == (0, f"{len(members)}\n", "")
     assert count_peak < members_peak / 10, (count_peak, members_peak)
+
+
+@pytest.mark.parametrize("kind,r", [("pmex", 10**9), ("obar", 10**9), ("pe", 10**9 + 1), ("po2", 10**9)])
+def test_count_at_a_huge_r_stays_small(kind, r):
+    # No set of sizes in a family's rule grows with r, and the pmex tally
+    # has at most n + 2 slots, since no finite mex run is longer than n.
+    family = Family(kind, r)
+    argv = ["count", "--family", kind, "--r", str(r), "--n"]
+    run([*argv, "1"])  # first-call setup outside the trace
+    for n in range(13):
+        (code, out, err), peak = _traced_peak(lambda: run([*argv, str(n)]))
+        assert (code, out, err) == (0, f"{count_family(family, n)}\n", ""), n
+        assert peak < 1 << 20, (n, peak)
 
 
 def test_map_worked_example():

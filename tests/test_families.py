@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -13,9 +14,9 @@ from mexpart import (
     is_member,
     mex_sequence,
 )
-from mexpart import gf_pmex, poch_distinct, poch_inv, series_mul
+from mexpart import TruncatedSeries, gf_pmex, poch_distinct, poch_inv, series_mul
 from mexpart.cli import MAX_N
-from mexpart.families import FAMILY_KINDS, _count, _pmex_counts, _walk
+from mexpart.families import FAMILY_KINDS, _count, _pmex_counts, _rule, _series, _walk
 
 overpartitions = st.builds(
     Overpartition,
@@ -459,6 +460,63 @@ class TestBlockCount:
         assert {family: _count(family, n) for family in definitions} == {
             family: series[n] for family, series in definitions.items()
         }
+
+    def test_series_equals_each_definition_to_degree_400(self):
+        # The whole series, far beyond MAX_N, against each family's product
+        # written straight from its definition and, for the families of the
+        # identity, against gf_pmex: a wrong rule names its family here.
+        d = 400
+        p, distinct = poch_inv(1, 1, d), poch_distinct(1, 1, d)
+        definitions = {Family("p"): p, Family("pbar"): series_mul(distinct, p)}
+        for r in range(1, 7):
+            tail = poch_inv(r + 1, 2, d)
+            definitions[Family("obar", r)] = series_mul(distinct, tail)
+            if r % 2:
+                pe = p  # times (1 - q^e) for each even e < r
+                for e in range(2, r, 2):
+                    pe = series_mul(TruncatedSeries([1] + [0] * (e - 1) + [-1] + [0] * (d - e)), pe)
+                definitions[Family("pe", r)] = pe
+            else:
+                definitions[Family("po2", r)] = series_mul(poch_inv(1, 2, d), tail)
+        identity = {r: list(gf_pmex(r, d).coeffs) for r in range(1, 7)}
+        for family, definition in definitions.items():
+            series = _series(family, d)
+            assert series == list(definition.coeffs), family
+            if family.r is not None:
+                assert series == identity[family.r], family
+
+
+class TestRuleData:
+    @pytest.mark.parametrize("family", _families_up_to(7), ids=repr)
+    def test_count_is_the_number_of_patterns(self, family):
+        # Every block the walk yields; a partition kind's one pattern is the
+        # block's parts, so its count is 1.
+        for n in range(25):
+            skip, once, count, patterns, _ = _rule(family, n)
+            blocks = {block for walked in _walk(n, n, skip, once) for block in walked}
+            assert {b: count(*b) for b in blocks} == {
+                b: 1 if patterns is None else len(patterns[b]) for b in blocks
+            }, n
+
+    def test_series_builds_no_pattern(self):
+        # Every pattern of po2 up to weight 300 takes 5.8 MiB, so counting
+        # under 1 MiB builds none of them.
+        family = Family("po2", 2)
+        _series(family, 1)  # first-call setup outside the trace
+        tracemalloc.start()
+        try:
+            series = _series(family, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series[42] == 26384
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("family", [f for f in _families_up_to(6) if f.kind != "pmex"], ids=repr)
+    def test_series_prefix_is_the_series_of_lower_degree(self, family):
+        whole = _series(family, 60)
+        for k in (0, 1, 2, 7, 31, 59):
+            assert whole[: k + 1] == _series(family, k), k
 
 
 class TestIsMember:
