@@ -31,14 +31,14 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from typing import Iterable
 
 from . import oracle
 from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
-from .families import FAMILY_KINDS, MEMBER_TYPES, Family, Overpartition
+from .families import FAMILY_KINDS, MEMBER_TYPES, Family
 from .families import _count, _members
-from .partitions import Partition
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
 __all__ = ["main", "run"]
@@ -138,14 +138,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The keys of a member type's JSONL record: its dataclass fields, in order.
+_FIELDS = {cls: tuple(field.name for field in fields(cls)) for cls in MEMBER_TYPES.values()}
+
+
 def _record(obj) -> str:
-    if isinstance(obj, Partition):
-        payload = {"parts": list(obj.parts)}
-    elif isinstance(obj, Overpartition):
-        payload = {"overlined": list(obj.overlined), "plain": list(obj.plain)}
-    else:
-        payload = {"parts": [[size, color] for size, color in obj.parts]}
-    return json.dumps(payload, separators=(",", ":"))
+    # Tuples encode as JSON arrays, so each field is written as it is held.
+    return json.dumps({name: getattr(obj, name) for name in _FIELDS[type(obj)]}, separators=(",", ":"))
 
 
 def _emitter(fmt: str):

@@ -14,23 +14,24 @@ names the command line uses:
 
 Each family's rule is written once, in ``_rule``, as data: the sizes the
 walk skips (``pe``'s even sizes below r, ``po2``'s even sizes), the sizes it
-takes at most once (those that must be overlined), for each (size,
-multiplicity) block the number of its overline or color patterns and the
-patterns themselves in canonical order, built when first used, and for
-``pmex`` the filter that keeps the partitions whose mex run has length >= r,
-an open run counting as long enough (the walk's block sizes, read from the
-smallest, go through the same scan as :func:`~mexpart.mex_sequence`, and the
-filter applies the rule of ``MexSequence.at_least``).  ``_members`` expands
-the rule into members: the walk is iterative, one explicit stack of (size,
-multiplicity) blocks, filled greedily and backtracked, that yields each
-partition as soon as it is complete.  ``_series`` counts by the same rule
-and builds no member: a knapsack over the allowed sizes gives every weight
-up to a degree at once.  Every count but ``pmex``'s is a coefficient of that
-series; the ``pmex`` counts of one weight for every r come from a single
-walk that tallies each partition at the length of its mex run.
-:class:`Family` holds the r rule and is the only holder of r: the member
-types carry none, so a ``ColoredPartition`` is any two-colored odd
-partition, and ``po2``'s bound on the second color lives, like every
+takes at most once (those that must be overlined), ``marks(s, m)``, the
+ascending range of how many of a block's m copies of size s carry a mark
+(an overline, or ``po2``'s second color), and for ``pmex`` the filter that
+keeps the partitions whose mex run has length >= r, an open run counting as
+long enough (the walk's block sizes, read from the smallest, go through the
+same scan as :func:`~mexpart.mex_sequence`, and the filter applies the rule
+of ``MexSequence.at_least``).  ``_members`` expands the rule into members:
+the walk is iterative, one explicit stack of (size, multiplicity) blocks,
+filled greedily and backtracked, that yields each partition as soon as it
+is complete, and each block becomes one pattern per number in ``marks``.
+``_series`` counts by the same rule and builds no member and no pattern: a
+knapsack over the allowed sizes, each block weighed by ``len(marks(s, m))``,
+gives every weight up to a degree at once.  Every count but ``pmex``'s is a
+coefficient of that series; the ``pmex`` counts of one weight for every r
+come from a single walk that tallies each partition at the length of its
+mex run.  :class:`Family` holds the r rule and is the only holder of r:
+the member types carry none, so a ``ColoredPartition`` is any two-colored
+odd partition, and ``po2``'s bound on the second color lives, like every
 family's rule, in ``_rule`` and :func:`is_member`.
 
 The membership predicates stay the definition of every family: the tests
@@ -251,10 +252,9 @@ def is_member(family: Family, obj: object) -> bool:
     return True
 
 
-def _walk(n: int, limit: int, skip, once) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Partitions of ``n`` into parts ``<= limit``, with no size in ``skip``
-    and each size in ``once`` at most once, as ``(size, multiplicity)``
-    blocks, sizes descending.
+def _walk(n: int, skip, once) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Partitions of ``n`` with no size in ``skip`` and each size in ``once``
+    at most once, as ``(size, multiplicity)`` blocks, sizes descending.
 
     The largest size comes first and, for it, the most copies first, which
     is descending lexicographic order on the parts (Knuth, TAOCP 4A,
@@ -267,7 +267,7 @@ def _walk(n: int, limit: int, skip, once) -> Iterator[tuple[tuple[int, int], ...
     backtracked the same way.
     """
     blocks: list[tuple[int, int]] = []
-    rest, size = n, limit  # size: the largest the next block may take
+    rest, size = n, n  # size: the largest the next block may take
     while True:
         while rest:
             if size > rest:
@@ -300,59 +300,49 @@ def _flat(blocks) -> Partition:
     return Partition._trusted(parts)
 
 
-class _Patterns(dict):
-    """Block patterns, each built by ``make(s, m)`` the first time it is
-    looked up; every later lookup is a plain dict hit."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, block):
-        value = self[block] = self.make(*block)
-        return value
-
-
-def _one(s: int, m: int) -> int:
-    return 1
-
-
 def _rule(family: Family, n: int):
     """The one statement of ``family``'s rule at weight ``n``, as data that
     :func:`_members` expands and :func:`_series` counts: ``(skip, once,
-    count, patterns, keep)``.
+    marks, keep)``.
 
     ``skip`` and ``once`` are the sizes the walk skips and the sizes it
-    takes at most once.  ``count(s, m)`` is the number of patterns of the
-    block of ``m`` parts of size ``s``, and ``patterns[s, m]`` those
-    patterns in canonical order, built when first used: an (overlined,
-    plain) pair of parts for the overpartition kinds, the colored parts for
-    ``po2``.  The partition kinds have one pattern per block, the block's
-    parts, so their ``patterns`` is None.  ``keep`` is ``pmex``'s mex-run
-    filter on a walk's blocks, None for every other kind.  Nothing here
-    grows with r: each set of sizes is a range or bounded by ``n``.
+    takes at most once.  ``marks(s, m)`` is the ascending range of how many
+    of the ``m`` parts of size ``s`` in a block carry a mark, an overline
+    for the overpartition kinds and the second color for ``po2``; each
+    number is one pattern of the block, and ascending is canonical order
+    (plain before overlined, first color before second).  The partition
+    kinds mark nothing, ``range(1)``.  ``keep`` is ``pmex``'s mex-run filter
+    on a walk's blocks, None for every other kind.  Nothing here grows
+    with r: each set of sizes is a range or bounded by ``n``.
     """
     kind, r = family.kind, family.r
     if kind in ("pbar", "obar"):
         # obar: a size at most r or of r's parity is always overlined, so
         # it occurs once; every other size is plain or has one copy
-        # overlined, plain first.
+        # overlined.
         forced = () if kind == "pbar" else frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
-        return ((), forced, lambda s, m: 1 if s in forced else 2, _Patterns(
-            lambda s, m: (((s,), ()),) if s in forced else (((), (s,) * m), ((s,), (s,) * (m - 1)))
-        ), None)
-    if kind == "po2":
-        # Odd sizes only.  Above r the second-color count runs 0..m, at or
-        # below r it is 0.
-        return (range(2, n + 1, 2), (), lambda s, m: m + 1 if s > r else 1, _Patterns(
-            lambda s, m: tuple(((s, 1),) * (m - c) + ((s, 2),) * c for c in range(m + 1 if s > r else 1))
-        ), None)
+        return (), forced, lambda s, m: range(1, 2) if s in forced else range(2), None
+    if kind == "po2":  # odd sizes only; a second color only above r
+        return range(2, n + 1, 2), (), lambda s, m: range(m + 1 if s > r else 1), None
+    keep = None
     if kind == "pmex":  # block sizes ascend from the last block
-        return ((), (), _one, None, lambda walk: (
-            b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r)
-        ))
-    return (range(2, r, 2) if kind == "pe" else (), (), _one, None, None)  # pe: no even size below r
+        keep = lambda walk: (b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
+    return range(2, r, 2) if kind == "pe" else (), (), lambda s, m: range(1), keep  # pe: no even size below r
+
+
+def _blocks(n: int, skip, once) -> Iterator[tuple[int, range]]:
+    """Each size the rule allows up to ``n``, with its multiplicities."""
+    for s in range(1, n + 1):
+        if s not in skip:
+            yield s, range(1, (1 if s in once else n // s) + 1)
+
+
+# One pattern of a block: ``m`` parts of size ``s`` with ``c`` of them
+# marked, as an (overlined, plain) pair or as colored parts.
+_PATTERN = {
+    Overpartition: lambda s, m, c: ((s,) * c, (s,) * (m - c)),
+    ColoredPartition: lambda s, m, c: ((s, 1),) * (m - c) + ((s, 2),) * c,
+}
 
 
 def _fan_out(walk, patterns, cls) -> Iterator:
@@ -376,15 +366,22 @@ def _fan_out(walk, patterns, cls) -> Iterator:
 
 
 def _members(family: Family, n: int) -> Iterator:
-    """The weight-``n`` members of ``family``, lazily, in canonical order."""
+    """The weight-``n`` members of ``family``, lazily, in canonical order:
+    the rule's walk, each block rendered as its patterns, one per number of
+    marked copies, once per call for every block of weight <= ``n``."""
     _require_int(n, 0, "weight")
-    skip, once, _, patterns, keep = _rule(family, n)
-    walk = _walk(n, n, skip, once)
+    skip, once, marks, keep = _rule(family, n)
+    walk = _walk(n, skip, once)
     if keep is not None:
         walk = keep(walk)
-    if patterns is None:
+    cls = MEMBER_TYPES[family.kind]
+    if cls is Partition:
         return map(_flat, walk)
-    return _fan_out(walk, patterns, MEMBER_TYPES[family.kind])
+    pattern = _PATTERN[cls]
+    patterns = {
+        (s, m): [pattern(s, m, c) for c in marks(s, m)] for s, mults in _blocks(n, skip, once) for m in mults
+    }
+    return _fan_out(walk, patterns, cls)
 
 
 def _series(family: Family, degree: int) -> list[int]:
@@ -393,15 +390,14 @@ def _series(family: Family, degree: int) -> list[int]:
     and no pattern.
 
     A knapsack over the sizes the rule allows: the product over them of
-    sum_m count(s, m) q^(s m), with m <= 1 for the sizes taken at most once.
-    Each size's factor is applied in place, from the top coefficient down.
+    sum_m len(marks(s, m)) q^(s m), with m <= 1 for the sizes taken at most
+    once.  Each size's factor is applied in place, from the top coefficient
+    down.
     """
-    skip, once, count, _, _ = _rule(family, degree)
+    skip, once, marks, _ = _rule(family, degree)
     series = [1] + [0] * degree
-    for s in range(1, degree + 1):
-        if s in skip:
-            continue
-        weights = [count(s, m) for m in range(1, (1 if s in once else degree // s) + 1)]
+    for s, mults in _blocks(degree, skip, once):
+        weights = [len(marks(s, m)) for m in mults]
         for n in range(degree, s - 1, -1):
             series[n] += sum(map(mul, weights, series[n - s::-s]))
     return series
@@ -429,7 +425,7 @@ def _pmex_counts(n: int, max_r: int) -> list[int]:
     is the sum of the tally from r up.
     """
     tally = [0] * (max_r + 1)
-    for blocks in _walk(n, n, (), ()):
+    for blocks in _walk(n, (), ()):
         run = _mex_and_run(map(_SIZE, reversed(blocks)))[1]
         tally[max_r if _run_at_least(run, max_r) else run] += 1
     return list(accumulate(reversed(tally)))[::-1]

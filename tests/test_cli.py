@@ -149,6 +149,23 @@ def test_enumerate_po2_jsonl():
     assert {"parts": [[3, 2]]} in records
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--family", "p", "--n", "4"],
+     '{"parts":[4]}\n{"parts":[3,1]}\n{"parts":[2,2]}\n{"parts":[2,1,1]}\n{"parts":[1,1,1,1]}\n'),
+    (["--family", "obar", "--n", "4", "--r", "1"],
+     '{"overlined":[],"plain":[4]}\n{"overlined":[4],"plain":[]}\n{"overlined":[3,1],"plain":[]}\n'
+     '{"overlined":[],"plain":[2,2]}\n{"overlined":[2],"plain":[2]}\n'),
+    (["--family", "po2", "--n", "6", "--r", "2"],
+     '{"parts":[[5,1],[1,1]]}\n{"parts":[[5,2],[1,1]]}\n{"parts":[[3,1],[3,1]]}\n'
+     '{"parts":[[3,1],[3,2]]}\n{"parts":[[3,2],[3,2]]}\n{"parts":[[3,1],[1,1],[1,1],[1,1]]}\n'
+     '{"parts":[[3,2],[1,1],[1,1],[1,1]]}\n{"parts":[[1,1],[1,1],[1,1],[1,1],[1,1],[1,1]]}\n'),
+], ids=["Partition", "Overpartition", "ColoredPartition"])
+def test_enumerate_jsonl_bytes(argv, expected):
+    # Key order, separators and nesting of each member type's record, byte
+    # for byte.
+    assert run(["enumerate", *argv, "--format", "jsonl"]) == (0, expected, "")
+
+
 def test_map_jsonl():
     code, out, _ = run(["map", "--bijection", "t5", "--r", "2", "--format", "jsonl"], "8 7 3 2 1 1")
     assert code == 0
