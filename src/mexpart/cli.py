@@ -66,11 +66,11 @@ MAX_DEGREE = 50_000
 # x86-64 host, CPython 3.11): `enumerate --family pbar --n 42` 7.2 s at a
 # 16 MB peak, `count --family pbar --n 42` 0.08-0.09 s at 16 MB, nearly all
 # of it interpreter start (`count` reads one coefficient of the family's
-# series and builds no member; `pmex` walks the partitions of 42 once, in
-# 0.25-0.27 s), and `verify --max-n 32 --max-r 16` 9.2-9.7 s at 21 MB,
-# against 6.4-6.6 s for `--max-r 8`, the acceptance size, nearly all of it
-# the round trips.  Unbounded, `verify --max-n 2 --max-r 20000` ran for 25 s
-# at 150 MB.
+# series and builds no member; the `pmex` series to degree 42 takes
+# 0.5-0.8 ms in process, at any r), and `verify --max-n 32 --max-r 16`
+# 9.2-9.7 s at 21 MB, against 6.4-6.6 s for `--max-r 8`, the acceptance
+# size, nearly all of it the round trips.  Unbounded, `verify --max-n 2
+# --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32
 MAX_VERIFY_R = 16

@@ -26,12 +26,13 @@ filled greedily and backtracked, that yields each partition as soon as it
 is complete, and each block becomes one pattern per number in ``marks``.
 ``_series`` counts by the same rule and builds no member and no pattern: a
 knapsack over the allowed sizes, each block weighed by ``len(marks(s, m))``,
-gives every weight up to a degree at once.  Every count but ``pmex``'s is a
-coefficient of that series; the ``pmex`` counts of one weight for every r
-come from a single walk that tallies each partition at the length of its
-mex run.  :class:`Family` holds the r rule and is the only holder of r:
-the member types carry none, so a ``ColoredPartition`` is any two-colored
-odd partition, and ``po2``'s bound on the second color lives, like every
+gives every weight up to a degree at once.  Every count is a coefficient of
+that series.  For ``pmex`` the knapsack starts from the sum over the mex m
+of q^(m(m-1)/2) (q^m;q)_r: the sizes below m that a member of mex m must
+have, and the r sizes from m it must miss, so ``keep`` serves the walk
+alone.  :class:`Family` holds the r rule and is the only holder of r: the
+member types carry none, so a ``ColoredPartition`` is any two-colored odd
+partition, and ``po2``'s bound on the second color lives, like every
 family's rule, in ``_rule`` and :func:`is_member`.
 
 The membership predicates stay the definition of every family: the tests
@@ -52,8 +53,8 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, starmap
-from operator import itemgetter, mul
+from itertools import starmap
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .partitions import _UNBOUNDED, Partition, _descending, _require_int, _tokens, mex_sequence
@@ -312,8 +313,9 @@ def _rule(family: Family, n: int):
     number is one pattern of the block, and ascending is canonical order
     (plain before overlined, first color before second).  The partition
     kinds mark nothing, ``range(1)``.  ``keep`` is ``pmex``'s mex-run filter
-    on a walk's blocks, None for every other kind.  Nothing here grows
-    with r: each set of sizes is a range or bounded by ``n``.
+    on a walk's blocks, None for every other kind; :func:`_series` counts
+    ``pmex`` from its mex sum instead.  Nothing here grows with r: each set
+    of sizes is a range or bounded by ``n``.
     """
     kind, r = family.kind, family.r
     if kind in ("pbar", "obar"):
@@ -386,16 +388,28 @@ def _members(family: Family, n: int) -> Iterator:
 
 def _series(family: Family, degree: int) -> list[int]:
     """``series[n]`` is the number of weight-``n`` members of ``family`` for
-    0 <= n <= ``degree``, for every kind but ``pmex``, building no member
-    and no pattern.
+    0 <= n <= ``degree``, building no member and no pattern.
 
     A knapsack over the sizes the rule allows: the product over them of
     sum_m len(marks(s, m)) q^(s m), with m <= 1 for the sizes taken at most
     once.  Each size's factor is applied in place, from the top coefficient
-    down.
+    down.  The product starts from 1, and for ``pmex`` from its mex sum
+    sum_{m >= 1} q^(m(m-1)/2) (q^m;q)_r: a member of mex m has every size
+    below m and none of m..m+r-1, and the knapsack, over every size, adds
+    the other copies.  Only the factors (1 - q^e) with e <= ``degree``
+    apply, so the cost does not grow with r.
     """
     skip, once, marks, _ = _rule(family, degree)
     series = [1] + [0] * degree
+    if family.kind == "pmex":
+        series, mex, low = [0] * (degree + 1), 1, 0  # low: mex(mex-1)/2
+        while low <= degree:
+            term = [1] + [0] * (degree - low)
+            for e in range(mex, min(mex + family.r, degree - low + 1)):
+                term[e:] = map(sub, term[e:], term[:-e])
+            series[low:] = map(add, series[low:], term)
+            low += mex
+            mex += 1
     for s, mults in _blocks(degree, skip, once):
         weights = [len(marks(s, m)) for m in mults]
         for n in range(degree, s - 1, -1):
@@ -405,30 +419,9 @@ def _series(family: Family, degree: int) -> list[int]:
 
 def _count(family: Family, n: int) -> int:
     """The number of weight-``n`` members of ``family``, building none: the
-    coefficient of q^n in the rule's series, and for ``pmex`` the top entry
-    of the one tally of the partitions of ``n``, r clamped to n + 1 (no
-    finite mex run of a weight-``n`` partition is longer than n)."""
+    coefficient of q^n in the rule's series."""
     _require_int(n, 0, "weight")
-    if family.kind == "pmex":
-        r = min(family.r, n + 1)
-        return _pmex_counts(n, r)[r]
     return _series(family, n)[n]
-
-
-def _pmex_counts(n: int, max_r: int) -> list[int]:
-    """``counts[r]`` is the number of weight-``n`` members of ``pmex`` at r
-    for 1 <= r <= max_r (``counts[0]`` counts every partition of ``n``),
-    from one walk over the partitions of ``n``.
-
-    A partition whose mex run has length L is in ``pmex`` for every r <= L,
-    so the walk tallies each partition at min(L, max_r), and ``counts[r]``
-    is the sum of the tally from r up.
-    """
-    tally = [0] * (max_r + 1)
-    for blocks in _walk(n, (), ()):
-        run = _mex_and_run(map(_SIZE, reversed(blocks)))[1]
-        tally[max_r if _run_at_least(run, max_r) else run] += 1
-    return list(accumulate(reversed(tally)))[::-1]
 
 
 def enumerate_family(family: Family, n: int) -> tuple:

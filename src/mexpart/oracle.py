@@ -1,11 +1,12 @@
 """Cross-verification harness: enumeration vs bijections vs the series oracle.
 
-``verify_counts`` checks the four-way count identity (enumerated family
-sizes against the generating-function coefficients), ``verify_roundtrips``
-exhaustively round-trips every bijection, and ``reproduce_table`` recomputes
-the six reference pairing tables that are stored as golden files under
-``mexpart/golden/``.  Failures accumulate in the report instead of aborting,
-so one run surfaces every discrepancy.
+``verify_counts`` checks the four-way count identity (family sizes, read
+off each family's own series, against the generating-function
+coefficients), ``verify_roundtrips`` exhaustively round-trips every
+bijection, and ``reproduce_table`` recomputes the six reference pairing
+tables that are stored as golden files under ``mexpart/golden/``.
+Failures accumulate in the report instead of aborting, so one run surfaces
+every discrepancy.
 
 Bijections are named here only by id: their maps, inverses and domains come
 from the registry in :mod:`mexpart.bijections`, so a map added there is
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .bijections import INVERSE, MAPS, UNCHECKED, map_families
-from .families import Family, _pmex_counts, _series, enumerate_family, is_member
+from .families import Family, _series, enumerate_family, is_member
 from .partitions import _require_int, conjugate, glaisher_split
 from .qseries import gf_pmex
 
@@ -65,33 +66,31 @@ class VerificationReport:
 
 
 def verify_counts(max_n: int, max_r: int) -> VerificationReport:
-    """Compare enumerated counts with the series oracle for every (n, r).
+    """Compare family counts with the series oracle for every (n, r).
 
     For each 0 <= n <= max_n and 1 <= r <= max_r the ``pmex`` count must
     equal the generating-function coefficient and the count of every other
     family that accepts r: ``obar``, plus ``pe`` for odd r or ``po2`` for
-    even r.  The ``pmex`` counts of one n, for every r, come from a single
-    walk over the partitions of n, tallied by the length of each mex run;
-    each other family's counts for every n come from one series per (family,
-    r), read off its block rule (``families._series``).  No member object is
-    built.
+    even r.  Every family's counts for every n come from one series per
+    (family, r), read off its rule (``families._series``), which for
+    ``pmex`` is a sum over the mex, computed apart from ``gf_pmex``'s
+    product.  No member object is built and no partition is walked.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
     series = {r: gf_pmex(r, max_n) for r in range(1, max_r + 1)}
-    others = {
-        r: [(family, _series(family, max_n)) for family in _families_accepting(r, ("obar", "pe", "po2"))]
+    counted = {
+        r: [(family, _series(family, max_n)) for family in _families_accepting(r, ("pmex", "obar", "pe", "po2"))]
         for r in range(1, max_r + 1)
     }
     checks = []
     for n in range(max_n + 1):
-        pmex = _pmex_counts(n, max_r)
         for r in range(1, max_r + 1):
             params = f"n={n} r={r}"
-            base = pmex[r]
-            checks.append(Check("pmex count = series coefficient", params, series[r][n], base))
-            for family, counts in others[r]:
-                checks.append(Check(f"{family.kind} count = pmex count", params, base, counts[n]))
+            (_, pmex), *others = counted[r]
+            checks.append(Check("pmex count = series coefficient", params, series[r][n], pmex[n]))
+            for family, counts in others:
+                checks.append(Check(f"{family.kind} count = pmex count", params, pmex[n], counts[n]))
     return VerificationReport(tuple(checks))
 
 

@@ -16,7 +16,7 @@ from mexpart import (
 )
 from mexpart import TruncatedSeries, gf_pmex, poch_distinct, poch_inv, series_mul
 from mexpart.cli import MAX_N
-from mexpart.families import FAMILY_KINDS, MEMBER_TYPES, _count, _pmex_counts, _rule, _series, _walk
+from mexpart.families import FAMILY_KINDS, MEMBER_TYPES, _count, _rule, _series, _walk
 
 overpartitions = st.builds(
     Overpartition,
@@ -417,12 +417,13 @@ class TestBlockWalk:
 class TestPmexTally:
     def test_equals_enumeration(self):
         # r up to 10 includes, for every n <= 10, an r that no finite mex run
-        # reaches, so only the infinite runs count there.
-        for n in range(25):
-            expected = [count_family(Family("p"), n)]
-            expected += [count_family(Family("pmex", r), n) for r in range(1, 11)]
-            for max_r in range(11):
-                assert _pmex_counts(n, max_r) == expected[: max_r + 1], (n, max_r)
+        # reaches, so only the open runs count there; r = 10^6 is such an r
+        # for every n.
+        for r in range(1, 11):
+            family = Family("pmex", r)
+            assert _series(family, 24) == [count_family(family, n) for n in range(25)], r
+        family = Family("pmex", 10**6)
+        assert _series(family, 16) == [count_family(family, n) for n in range(17)]
 
 
 def _families_up_to(max_r):
@@ -465,11 +466,15 @@ class TestBlockCount:
         # The whole series, far beyond MAX_N, against each family's product
         # written straight from its definition and, for the families of the
         # identity, against gf_pmex: a wrong rule names its family here.
+        # pmex's series is a sum over the mex, so gf_pmex's product is its
+        # witness.
         d = 400
         p, distinct = poch_inv(1, 1, d), poch_distinct(1, 1, d)
+        identity = {r: gf_pmex(r, d) for r in range(1, 7)}
         definitions = {Family("p"): p, Family("pbar"): series_mul(distinct, p)}
         for r in range(1, 7):
             tail = poch_inv(r + 1, 2, d)
+            definitions[Family("pmex", r)] = identity[r]
             definitions[Family("obar", r)] = series_mul(distinct, tail)
             if r % 2:
                 pe = p  # times (1 - q^e) for each even e < r
@@ -478,12 +483,11 @@ class TestBlockCount:
                 definitions[Family("pe", r)] = pe
             else:
                 definitions[Family("po2", r)] = series_mul(poch_inv(1, 2, d), tail)
-        identity = {r: list(gf_pmex(r, d).coeffs) for r in range(1, 7)}
         for family, definition in definitions.items():
             series = _series(family, d)
             assert series == list(definition.coeffs), family
             if family.r is not None:
-                assert series == identity[family.r], family
+                assert series == list(identity[family.r].coeffs), family
 
 
 def one_block_objects(cls, s, m):
@@ -531,7 +535,7 @@ class TestRuleData:
         assert series[42] == 26384
         assert peak < 1 << 20, peak
 
-    @pytest.mark.parametrize("family", [f for f in _families_up_to(6) if f.kind != "pmex"], ids=repr)
+    @pytest.mark.parametrize("family", _families_up_to(6), ids=repr)
     def test_series_prefix_is_the_series_of_lower_degree(self, family):
         whole = _series(family, 60)
         for k in (0, 1, 2, 7, 31, 59):

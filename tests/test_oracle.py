@@ -1,6 +1,6 @@
 import pytest
 
-from mexpart import Overpartition, bijections
+from mexpart import Family, Overpartition, bijections, families
 from mexpart import (
     Check,
     VerificationReport,
@@ -79,6 +79,16 @@ class TestVerifyCounts:
                     expected.append((name, f"n={n} r={r}"))
         assert [(c.name, c.params) for c in report.checks] == expected
         assert report.overall
+
+    def test_walks_no_partition(self, monkeypatch):
+        # Every count, pmex's included, is a coefficient of its family's
+        # series: neither verify_counts nor _count walks the partitions.
+        def walk(*args):
+            raise AssertionError("walked the partitions")
+
+        monkeypatch.setattr(families, "_walk", walk)
+        assert verify_counts(12, 6).overall
+        assert families._count(Family("pmex", 2), 42) == 26384
 
 
 class TestVerifyRoundtrips:
