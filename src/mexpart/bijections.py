@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import _SIZE, ColoredPartition, Family, Overpartition, is_member
-from .partitions import INFINITE, Partition, _merge, _mex_and_run, _require_int, _split, conjugate, oplus
+from .partitions import INFINITE, Partition, _conjugate, _merge, _mex_and_run, _oplus, _require_int, _split
 
 __all__ = [
     "SigmaDecomposition",
@@ -60,7 +60,7 @@ class SigmaDecomposition:
 def _check_domain(map_id: str, obj, r: int) -> None:
     """Reject an ``r`` that the map's families refuse and an ``obj`` outside
     its domain."""
-    domain, _ = map_families(map_id, r)
+    domain, _ = _families(map_id, _require_int(r, 1, "r"))
     if not is_member(domain, obj):
         raise _outside(domain, obj)
 
@@ -127,16 +127,18 @@ def mex_forward(kappa: Partition, r: int) -> Overpartition:
     Otherwise the gap-free core of :func:`sigma_decompose` is conjugated
     into the overlined parts and the padding summand stays plain.
     """
-    domain, _ = map_families("t5", r)  # the domain check is the mex run below
+    # Both families accept every r >= 1, and the domain check is the mex run:
+    # the domain is looked up only to word a refusal.
+    _require_int(r, 1, "r")
     if not isinstance(kappa, Partition):
-        raise _outside(domain, kappa)
+        raise _outside(_families("t5", r)[0], kappa)
     m, run = _mex_and_run(reversed(kappa.parts))
     if run is INFINITE:
-        return Overpartition._trusted(conjugate(kappa).parts, ())
+        return Overpartition._trusted(_conjugate(kappa.parts), ())
     if run < r:
-        raise _outside(domain, kappa)
+        raise _outside(_families("t5", r)[0], kappa)
     delta, sigma = _sigma_parts(kappa.parts, m, r)
-    return Overpartition._trusted(conjugate(Partition._trusted(sigma)).parts, delta)
+    return Overpartition._trusted(_conjugate(sigma), delta)
 
 
 def mex_inverse(op: Overpartition, r: int) -> Partition:
@@ -147,7 +149,7 @@ def mex_inverse(op: Overpartition, r: int) -> Partition:
 
 
 def _mex_inverse(op: Overpartition, r: int) -> Partition:
-    return oplus(conjugate(Partition._trusted(op.overlined)), Partition._trusted(op.plain))
+    return Partition._trusted(_oplus(_conjugate(op.overlined), op.plain))
 
 
 def odd_forward(p: Partition, r: int) -> Overpartition:

@@ -57,7 +57,7 @@ from itertools import starmap
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
-from .partitions import _UNBOUNDED, Partition, _descending, _require_int, _tokens, mex_sequence
+from .partitions import _UNBOUNDED, Partition, _descending, _require_int, _tokens
 from .partitions import _colored_arguments, _colored_token, _mex_and_run, _overpartition_arguments
 from .partitions import _overpartition_token, _refuse, _run_at_least
 
@@ -243,13 +243,22 @@ def is_member(family: Family, obj: object) -> bool:
     if not isinstance(obj, MEMBER_TYPES[kind]):
         return False
     if kind == "pmex":
-        return mex_sequence(obj).at_least(r)
+        return _run_at_least(_mex_and_run(reversed(obj.parts))[1], r)
     if kind == "obar":
         return all(x > r and (x - r - 1) % 2 == 0 for x in obj.plain)
+    # pe and po2 restrict only the parts at or below r: the tail
     if kind == "pe":
-        return not any(x % 2 == 0 and x < r for x in obj.parts)
-    if kind == "po2":
-        return all(color == 1 or size > r for size, color in obj.parts)
+        for size in reversed(obj.parts):
+            if size > r:
+                return True
+            if size % 2 == 0:
+                return False
+    elif kind == "po2":
+        for size, color in reversed(obj.parts):
+            if size > r:
+                return True
+            if color == 2:
+                return False
     return True
 
 

@@ -266,20 +266,25 @@ def _mex_and_run(sizes: Iterable[int]) -> tuple[int, int | _InfiniteLength]:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Ferrers diagram: part k counts original parts >= k.
+    """Transpose of the Ferrers diagram: part k counts original parts >= k."""
+    return Partition._trusted(_conjugate(p.parts))
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of :func:`conjugate` for descending ``parts``.
 
     Read from the smallest part up: the j-th largest part is the width j
     of every k above the next smaller part and up to itself, so each part
     extends the output by one run.
     """
     widths: list[int] = []
-    below, j = 0, len(p.parts)
-    for part in reversed(p.parts):
+    below, j = 0, len(parts)
+    for part in reversed(parts):
         if part > below:
             widths += [j] * (part - below)
             below = part
         j -= 1
-    return Partition._trusted(tuple(widths))
+    return tuple(widths)
 
 
 def has_no_gaps(p: Partition) -> bool:
@@ -289,12 +294,16 @@ def has_no_gaps(p: Partition) -> bool:
 
 
 def oplus(a: Partition, b: Partition) -> Partition:
-    """Part-wise sum; the shorter operand is padded with zeros.  Both are
-    descending, so the sums are too."""
-    longer, shorter = (a.parts, b.parts) if len(a.parts) >= len(b.parts) else (b.parts, a.parts)
+    """Part-wise sum; the shorter operand is padded with zeros."""
+    return Partition._trusted(_oplus(a.parts, b.parts))
+
+
+def _oplus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of :func:`oplus`.  Both operands descend, so the sums do too."""
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
     sums = list(map(add, longer, shorter))
     sums += longer[len(shorter):]
-    return Partition._trusted(tuple(sums))
+    return tuple(sums)
 
 
 def glaisher_split(p: Partition) -> Partition:

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from mexpart import Family, Overpartition, bijections, families
+from mexpart import Family, Overpartition, Partition, bijections, families, oracle
+from mexpart.qseries import gf_pmex
 from mexpart import (
     Check,
     VerificationReport,
@@ -126,6 +129,88 @@ class TestVerifyRoundtrips:
         report = verify_roundtrips(4, 3)
         assert not report.overall
         assert {c.name.split(":")[0] for c in report.failures()} == {"odd", "oddinv"}
+
+    def test_each_map_runs_once_per_object(self, monkeypatch):
+        # A map's own pass calls it once per object of its domain; its
+        # inverse's pass reuses the pairs the forward pass verified.
+        calls = Counter()
+
+        def counting(map_id, f):
+            def counted(obj, r):
+                calls[map_id] += 1
+                return f(obj, r)
+            return counted
+
+        for map_id, f in list(bijections.MAPS.items()):
+            monkeypatch.setitem(bijections.MAPS, map_id, counting(map_id, f))
+        assert verify_roundtrips(10, 4).overall
+        objects = {"t5": 0, "odd": 0, "even": 0}
+        for r in range(1, 5):
+            total = sum(gf_pmex(r, 10).coeffs)
+            objects["t5"] += total
+            objects["odd" if r % 2 else "even"] += total
+        assert calls == {map_id: objects[map_id.removesuffix("inv")] for map_id in bijections.MAPS}
+
+    @pytest.mark.parametrize("fault", ["t5 not injective", "oddinv drops a part", "even leaves obar"])
+    def test_faults_are_reported_as_two_passes_report_them(self, monkeypatch, fault):
+        if fault == "t5 not injective":  # every two-part partition goes where 1^n goes
+            t5 = bijections.mex_forward
+            map_id, faulty = "t5", lambda k, r: t5(Partition([1] * k.weight) if len(k.parts) == 2 else k, r)
+        elif fault == "oddinv drops a part":
+            oddinv = bijections.odd_inverse
+            map_id, faulty = "oddinv", lambda op, r: Partition(oddinv(op, r).parts[len(op.plain) == 1:])
+        else:  # the plain part 2 is never in obar at even r
+            even = bijections.even_forward
+            map_id, faulty = "even", lambda c, r: Overpartition([], [2]) if len(c.parts) == 3 else even(c, r)
+        monkeypatch.setitem(bijections.MAPS, map_id, faulty)
+        report = verify_roundtrips(9, 4)
+        assert report.failures()
+        assert report == _two_passes(9, 4)
+
+    def test_each_domain_is_enumerated_once(self, monkeypatch):
+        calls = Counter()
+        enumerate_family = oracle.enumerate_family
+
+        def recording(family, n):
+            calls[family.kind, family.r, n] += 1
+            return enumerate_family(family, n)
+
+        monkeypatch.setattr(oracle, "enumerate_family", recording)
+        assert verify_roundtrips(6, 4).overall
+        expected = {
+            (kind, r, n): 1
+            for n in range(7)
+            for r in range(1, 5)
+            for kind in ("pmex", "obar", "pe" if r % 2 else "po2")
+        }
+        assert calls == expected
+
+
+def _two_passes(max_n, max_r):
+    """The round trips as one pass per map: the reference for the paired
+    passes of verify_roundtrips."""
+    checks = []
+    for n in range(max_n + 1):
+        for r in range(1, max_r + 1):
+            for map_id in bijections.MAPS:
+                try:
+                    domain, codomain = bijections.map_families(map_id, r)
+                except ValueError:
+                    continue
+                forward, inverse = bijections.MAPS[map_id], bijections.MAPS[bijections.INVERSE[map_id]]
+                inverse = bijections.UNCHECKED.get(inverse, inverse)
+                bad_image = bad_identity = 0
+                for obj in families.enumerate_family(domain, n):
+                    image = forward(obj, r)
+                    if not families.is_member(codomain, image):
+                        bad_image += 1
+                        bad_identity += 1
+                    elif inverse(image, r) != obj:
+                        bad_identity += 1
+                params = f"n={n} r={r}"
+                checks.append(Check(f"{map_id}: images in codomain", params, 0, bad_image))
+                checks.append(Check(f"{map_id}: inverse returns source", params, 0, bad_identity))
+    return VerificationReport(tuple(checks))
 
 
 class TestTables:
