@@ -8,8 +8,11 @@ iff it is exactly how mexpart prints that value: an object line as its
 ``text()``, an integer option as ``str(int)``.  Exit codes: 0 on success,
 1 on verification failure, 2 on usage or parse errors.
 
-Output is written as it is produced.  The ``--bijection`` choices, each
-map's input parser and its r rule all come from the registry in
+Output is written as it is produced.  ``enumerate``, ``map`` and ``gf``
+flush stdout after their lines 1, 2, 4, ..., 4096 (``_flushing``), so that
+the next stage of a pipe, or a coprocess, sees the first line at once; past
+that head the lines go out in 64 KiB blocks.  The ``--bijection`` choices,
+each map's input parser and its r rule all come from the registry in
 :mod:`mexpart.bijections`; the ``--family`` choices from
 :data:`mexpart.families.FAMILY_KINDS`.
 
@@ -32,7 +35,8 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from . import oracle
 from .bijections import DOMAIN, map_families
@@ -74,12 +78,21 @@ MAX_DEGREE = 50_000
 MAX_N = 42
 MAX_VERIFY_N = 32
 MAX_VERIFY_R = 16
-# Output to a pipe or file goes out in 64 KiB blocks.  With Python's default
-# buffer, the stages of `enumerate | map | map` sharing one CPU wake each
-# other so often that the chain took 18% longer than with 64 KiB (perfbench
-# `pipeline` workload, 2-CPU host: median wall_s 3.31 s against 2.80 s over
-# ten alternating pairs, 64 KiB faster in every pair).
+# Output to a pipe or file goes out in 64 KiB blocks once the first
+# _FLUSHED lines are out.  With Python's default buffer, the stages of
+# `enumerate | map | map` sharing one CPU wake each other so often that the
+# chain took 18% longer than with 64 KiB (perfbench `pipeline` workload,
+# 2-CPU host: median wall_s 3.31 s against 2.80 s over ten alternating
+# pairs, 64 KiB faster in every pair), so past the head every line still
+# waits for its block.
 _PIPE_BUFFER = 1 << 16
+# The head of every streamed output: stdout is flushed after its lines 1, 2,
+# 4, ..., _FLUSHED, so the next stage of a pipe starts on the first line and
+# not on the first full block.  The next doubled flush would come 4096 lines
+# after the last, and by then a 64 KiB block of lines of 16 bytes or more has
+# filled and gone out on its own, so the head ends at _PIPE_BUFFER // 16
+# lines, after 13 flushes.
+_FLUSHED = _PIPE_BUFFER // 16
 
 
 # domain parser per map id
@@ -155,6 +168,25 @@ def _emitter(fmt: str):
     return lambda obj: write(obj.text() + "\n")
 
 
+def _flushing(items: Iterable) -> Iterator:
+    """``items``, flushing stdout before taking the one after the 1st, 2nd,
+    4th, ..., _FLUSHED-th of them, that is once the consumer has written
+    their lines; after the head, the raw iterator, so each later item costs
+    what it costs without this."""
+    items = iter(items)
+    flush = sys.stdout.flush
+
+    def head():
+        due = 1
+        for count, item in enumerate(islice(items, _FLUSHED), start=1):
+            yield item
+            if count == due:
+                flush()
+                due <<= 1
+
+    return chain(head(), items)
+
+
 def _iter_lines(stdin) -> Iterable[str]:
     """The lines of ``stdin``, each with its newline if it has one.  A string
     splits only at line feeds, as ``sys.stdin`` does, so ``run`` and the
@@ -198,7 +230,7 @@ def _cmd_enumerate(args, stdin) -> int:
     n = _at_most(args.n, MAX_N, "--n")
     # lazily, so the first member is printed before the last is built
     emit = _emitter(args.format)
-    for obj in _members(Family(args.family, args.r), n):
+    for obj in _flushing(_members(Family(args.family, args.r), n)):
         emit(obj)
     return 0
 
@@ -214,7 +246,7 @@ def _cmd_map(args, stdin) -> int:
     r = args.r
     # Only the maps from obar can build an image larger than their input.
     bounded = DOMAIN[args.bijection] == "obar"
-    for lineno, line in enumerate(_iter_lines(stdin), start=1):
+    for lineno, line in enumerate(_flushing(_iter_lines(stdin)), start=1):
         if not line or line.isspace():  # a blank line; the parser strips the rest
             continue
         try:
@@ -232,7 +264,7 @@ def _cmd_gf(args, stdin) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
     _at_most(degree, MAX_DEGREE, DEGREE_ENV_VAR if args.degree is None else "--degree")
     write = sys.stdout.write
-    for n, value in enumerate(gf_pmex(args.r, degree).coeffs):
+    for n, value in enumerate(_flushing(gf_pmex(args.r, degree).coeffs)):
         write(f"{n}\t{value}\n")
     return 0
 

@@ -245,7 +245,13 @@ def is_member(family: Family, obj: object) -> bool:
     if kind == "pmex":
         return _run_at_least(_mex_and_run(reversed(obj.parts))[1], r)
     if kind == "obar":
-        return all(x > r and (x - r - 1) % 2 == 0 for x in obj.plain)
+        # every plain part > r with the parity of r+1: the smallest part is
+        # > r, and the plain parts hold no odd part for odd r, only odd
+        # parts for even r
+        plain = obj.plain
+        if not plain:
+            return True
+        return plain[-1] > r and sum(map((1).__and__, plain)) == (0 if r & 1 else len(plain))
     # pe and po2 restrict only the parts at or below r: the tail
     if kind == "pe":
         for size in reversed(obj.parts):

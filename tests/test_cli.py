@@ -3,8 +3,10 @@ import gc
 import io
 import json
 import os
+import select
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -415,6 +417,78 @@ def test_enumerate_prints_each_member_as_it_is_built(monkeypatch, family, r):
         cli._execute(argv, None)
     assert out.getvalue() == "40\n"
     assert len(built) == 2  # of 37,338 members, or 1,263,272 for pbar
+
+
+class FlushRecorder(io.StringIO):
+    """A stdout that records how many characters had been written at each
+    ``flush``."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed_at = []
+
+    def flush(self):
+        self.flushed_at.append(self.tell())
+        super().flush()
+
+
+_OBAR_30 = run(["enumerate", "--family", "obar", "--n", "30", "--r", "1"])[1]  # 5,604 lines
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["enumerate", "--family", "pbar", "--n", "20"], None),  # 7,336 lines
+        (["enumerate", "--family", "pbar", "--n", "20", "--format", "jsonl"], None),
+        (["enumerate", "--family", "pmex", "--n", "7", "--r", "2"], None),  # 6 lines
+        (["map", "--bijection", "t5inv", "--r", "1"], _OBAR_30),
+        (["map", "--bijection", "t5inv", "--r", "1"], "".join(_OBAR_30.splitlines(True)[:100])),
+        (["gf", "--r", "3", "--degree", "5000"], None),
+        (["gf", "--r", "3", "--degree", "0"], None),
+    ],
+    ids=["enumerate", "enumerate-jsonl", "enumerate-short", "map", "map-short", "gf", "gf-one-line"],
+)
+def test_the_first_lines_are_flushed_after_lines_1_2_4(argv, stdin):
+    # Flushed after lines 1, 2, 4, ..., cli._FLUSHED of the output and never
+    # after that, and the bytes are what run() returns.
+    out = FlushRecorder()
+    with redirect_stdout(out):
+        assert cli._execute(argv, stdin) == 0
+    text = out.getvalue()
+    assert (0, text, "") == run(argv, stdin)
+    lines = text.splitlines(keepends=True)
+    due = [1 << k for k in range(cli._FLUSHED.bit_length()) if 1 << k <= min(len(lines), cli._FLUSHED)]
+    assert out.flushed_at == [len("".join(lines[:count])) for count in due]
+
+
+def test_the_head_is_derived_from_the_pipe_buffer():
+    assert cli._FLUSHED == cli._PIPE_BUFFER // 16 == 4096
+
+
+def test_map_answers_its_first_line_before_its_input_ends():
+    # A coprocess: `map` must write the image of line 1 while its stdin is
+    # still open, and exit 0 once stdin closes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mexpart", "map", "--bijection", "odd", "--r", "1"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+    )
+    try:
+        proc.stdin.write(b"3 1\n")
+        proc.stdin.flush()
+        first, deadline = b"", time.monotonic() + 10
+        while not first.endswith(b"\n"):
+            ready, _, _ = select.select([proc.stdout], [], [], max(0, deadline - time.monotonic()))
+            chunk = os.read(proc.stdout.fileno(), 4096) if ready else b""
+            if not chunk:
+                break
+            first += chunk
+        assert first == b"~3 ~1\n"
+        rest, err = proc.communicate(timeout=60)
+        assert (proc.returncode, rest, err) == (0, b"", b"")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 # Tokens that no object line holds.

@@ -553,6 +553,17 @@ class TestIsMember:
         assert not is_member(Family("obar", 2), Overpartition([], [1]))
         assert is_member(Family("obar", 1), Overpartition([], [2]))
 
+    def test_obar_predicate_is_the_definition(self):
+        # every pbar member of n <= 14 against obar at r <= 9: 29,331 pairs
+        pairs = 0
+        for n in range(15):
+            for obj in enumerate_family(Family("pbar"), n):
+                for r in range(1, 10):
+                    expected = all(x > r and (x - r - 1) % 2 == 0 for x in obj.plain)
+                    assert is_member(Family("obar", r), obj) == expected, (obj, r)
+                    pairs += 1
+        assert pairs == 29_331
+
     def test_pe_predicate(self):
         assert is_member(Family("pe", 3), Partition([6, 1, 1]))
         assert not is_member(Family("pe", 3), Partition([2, 1]))
