@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import _SIZE, ColoredPartition, Family, Overpartition, is_member
-from .partitions import INFINITE, Partition, _conjugate, _merge, _mex_and_run, _oplus, _require_int, _split
+from .partitions import (
+    INFINITE, Partition, _conjugate, _merge, _mex_and_run, _oplus, _require_int, _run_at_least, _split,
+)
 
 __all__ = [
     "SigmaDecomposition",
@@ -95,7 +97,8 @@ def sigma_decompose(kappa: Partition, r: int) -> SigmaDecomposition:
 
 def _sigma_parts(parts: tuple[int, ...], m: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Parts of ``delta`` and ``sigma`` for ``parts`` with mex ``m`` and a
-    finite run of length >= r, both descending.
+    run of length >= r, both descending.  An infinite run leaves no part
+    above the mex: ``delta`` is empty and ``sigma`` is ``parts``.
 
     The running values rise by at most one per part, and only between
     unequal parts, so ``delta`` descends; ``sigma`` does too, since the
@@ -105,8 +108,6 @@ def _sigma_parts(parts: tuple[int, ...], m: int, r: int) -> tuple[tuple[int, ...
     count_above = 0
     while count_above < len(parts) and parts[count_above] > m:
         count_above += 1
-    # a finite run means some part lies beyond it
-    assert count_above >= 1
     want = (r + 1) % 2
     running = m - 1
     sig = [0] * count_above
@@ -122,10 +123,10 @@ def _sigma_parts(parts: tuple[int, ...], m: int, r: int) -> tuple[tuple[int, ...
 def mex_forward(kappa: Partition, r: int) -> Overpartition:
     """Map a ``pmex`` partition to its ``obar`` overpartition.
 
-    An infinite mex run means ``kappa`` has no gaps, so its conjugate has
-    distinct parts and is sent to a purely overlined overpartition.
-    Otherwise the gap-free core of :func:`sigma_decompose` is conjugated
-    into the overlined parts and the padding summand stays plain.
+    The gap-free core of :func:`sigma_decompose` is conjugated into the
+    overlined parts and the padding summand stays plain.  An infinite mex
+    run means ``kappa`` has no gaps: it is its own core, and its image is
+    purely overlined.
     """
     # Both families accept every r >= 1, and the domain check is the mex run:
     # the domain is looked up only to word a refusal.
@@ -133,9 +134,7 @@ def mex_forward(kappa: Partition, r: int) -> Overpartition:
     if not isinstance(kappa, Partition):
         raise _outside(_families("t5", r)[0], kappa)
     m, run = _mex_and_run(reversed(kappa.parts))
-    if run is INFINITE:
-        return Overpartition._trusted(_conjugate(kappa.parts), ())
-    if run < r:
+    if not _run_at_least(run, r):
         raise _outside(_families("t5", r)[0], kappa)
     delta, sigma = _sigma_parts(kappa.parts, m, r)
     return Overpartition._trusted(_conjugate(sigma), delta)

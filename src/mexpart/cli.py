@@ -72,9 +72,10 @@ MAX_DEGREE = 50_000
 # of it interpreter start (`count` reads one coefficient of the family's
 # series and builds no member; the `pmex` series to degree 42 takes
 # 0.5-0.8 ms in process, at any r), and `verify --max-n 32 --max-r 16`
-# 8.8-10.4 s at 20 MB, against 6.5-6.6 s for `--max-r 8`, the acceptance
-# size, nearly all of it the round trips.  Unbounded, `verify --max-n 2
-# --max-r 20000` ran for 25 s at 150 MB.
+# 5.0-5.4 s at 20 MB, against 3.4-3.7 s for `--max-r 8`, the acceptance
+# size, nearly all of it the round trips (minimum and median of 5 runs,
+# each pinned to one CPU, peak resident memory read from VmHWM).
+# Unbounded, `verify --max-n 2 --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32
 MAX_VERIFY_R = 16

@@ -13,27 +13,29 @@ names the command line uses:
 ==========  =============================================================
 
 Each family's rule is written once, in ``_rule``, as data: the sizes the
-walk skips (``pe``'s even sizes below r, ``po2``'s even sizes), the sizes it
-takes at most once (those that must be overlined), ``marks(s, m)``, the
-ascending range of how many of a block's m copies of size s carry a mark
-(an overline, or ``po2``'s second color), and for ``pmex`` the filter that
-keeps the partitions whose mex run has length >= r, an open run counting as
-long enough (the walk's block sizes, read from the smallest, go through the
-same scan as :func:`~mexpart.mex_sequence`, and the filter applies the rule
-of ``MexSequence.at_least``).  ``_members`` expands the rule into members:
-the walk is iterative, one explicit stack of (size, multiplicity) blocks,
-filled greedily and backtracked, that yields each partition as soon as it
-is complete, and each block becomes one pattern per number in ``marks``.
-``_series`` counts by the same rule and builds no member and no pattern: a
-knapsack over the allowed sizes, each block weighed by ``len(marks(s, m))``,
-gives every weight up to a degree at once.  Every count is a coefficient of
-that series.  For ``pmex`` the knapsack starts from the sum over the mex m
-of q^(m(m-1)/2) (q^m;q)_r: the sizes below m that a member of mex m must
-have, and the r sizes from m it must miss, so ``keep`` serves the walk
-alone.  :class:`Family` holds the r rule and is the only holder of r: the
-member types carry none, so a ``ColoredPartition`` is any two-colored odd
-partition, and ``po2``'s bound on the second color lives, like every
-family's rule, in ``_rule`` and :func:`is_member`.
+walk skips (``po2``'s even sizes), the sizes it takes at most once (those
+that must be overlined), ``marks(s, m)``, the ascending range of how many
+of a block's m copies of size s carry a mark (an overline, or ``po2``'s
+second color), and the family's components, each ``(must, miss)``: a member
+of one takes every size in ``must`` and none in ``miss``.  ``pmex`` has one
+component per mex m, which must take the staircase 1..m-1 and miss the r
+sizes from m; ``pe``'s one component misses the even sizes below r; every
+other kind has the one component ``((), ())``.  ``_members`` expands the
+rule into members: the walk is iterative, one explicit stack of (size,
+multiplicity) blocks, filled greedily and backtracked, that yields each
+partition as soon as it is complete, and each block becomes one pattern per
+number in ``marks``.  Each component is walked apart, its ``must`` placed
+as the blocks are flattened, and the components' streams are merged into
+canonical order.  ``_series`` counts by the same rule and builds no member
+and no pattern: each component adds q^|must| times the product over
+``miss`` of (1 - q^e), for ``pmex`` the definition's sum over the mex m of
+q^(m(m-1)/2) (q^m;q)_r, and a knapsack over the allowed sizes, each block
+weighed by ``len(marks(s, m))``, gives every weight up to a degree at once.
+Every count is a coefficient of that series.  :class:`Family` holds the r
+rule and is the only holder of r: the member types carry none, so a
+``ColoredPartition`` is any two-colored odd partition, and ``po2``'s bound
+on the second color lives, like every family's rule, in ``_rule`` and
+:func:`is_member`.
 
 The membership predicates stay the definition of every family: the tests
 check each generator against the unrestricted base family filtered through
@@ -52,8 +54,9 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, groupby, repeat, starmap
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
@@ -309,17 +312,24 @@ def _walk(n: int, skip, once) -> Iterator[tuple[tuple[int, int], ...]]:
         size -= 1
 
 
-def _flat(blocks) -> Partition:
-    parts = ()
+def _flat(blocks, stair: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of a walk's ``blocks`` with one more copy of each size in
+    ``stair``, a staircase k, k-1, ..., 1 (or none), placed as the blocks
+    pass those sizes: ``stair[-top:]`` is the staircase still to place."""
+    parts, top = (), len(stair)
     for size, mult in blocks:
-        parts += (size,) * mult
-    return Partition._trusted(parts)
+        if size <= top:
+            parts += stair[-top:-size] + (size,) * (mult + 1)
+            top = size - 1
+        else:
+            parts += (size,) * mult
+    return parts + stair[-top:] if top else parts
 
 
 def _rule(family: Family, n: int):
     """The one statement of ``family``'s rule at weight ``n``, as data that
     :func:`_members` expands and :func:`_series` counts: ``(skip, once,
-    marks, keep)``.
+    marks, components)``.
 
     ``skip`` and ``once`` are the sizes the walk skips and the sizes it
     takes at most once.  ``marks(s, m)`` is the ascending range of how many
@@ -327,24 +337,34 @@ def _rule(family: Family, n: int):
     for the overpartition kinds and the second color for ``po2``; each
     number is one pattern of the block, and ascending is canonical order
     (plain before overlined, first color before second).  The partition
-    kinds mark nothing, ``range(1)``.  ``keep`` is ``pmex``'s mex-run filter
-    on a walk's blocks, None for every other kind; :func:`_series` counts
-    ``pmex`` from its mex sum instead.  Nothing here grows with r: each set
-    of sizes is a range or bounded by ``n``.
+    kinds mark nothing, ``range(1)``.  The members fall into disjoint
+    ``components``, each ``(must, miss)``: a member of the component takes
+    every size in ``must`` at least once and none in ``miss``.  ``pmex`` has
+    one component per mex m with m(m-1)/2 <= ``n``, whose ``must`` is the
+    staircase 1..m-1 and whose ``miss`` is the r sizes from m, up to the
+    largest the rest of ``n`` can take; ``pe``'s one component misses the
+    even sizes below r; every other kind has the one component ``((),
+    ())``.  Every ``must`` is such a staircase, which :func:`_flat` places.
+    Nothing here grows with r: each set of sizes is a range or bounded by
+    ``n``.
     """
     kind, r = family.kind, family.r
+    components = [((), range(2, min(r, n + 1), 2) if kind == "pe" else ())]  # pe: no even size below r
+    if kind == "pmex":  # m(m-1)/2: the weight of the staircase below the mex m
+        components = [
+            (range(1, m), range(m, min(m + r, n - m * (m - 1) // 2 + 1)))
+            for m in range(1, n + 2)
+            if m * (m - 1) // 2 <= n
+        ]
     if kind in ("pbar", "obar"):
         # obar: a size at most r or of r's parity is always overlined, so
         # it occurs once; every other size is plain or has one copy
         # overlined.
         forced = () if kind == "pbar" else frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
-        return (), forced, lambda s, m: range(1, 2) if s in forced else range(2), None
+        return (), forced, lambda s, m: range(1, 2) if s in forced else range(2), components
     if kind == "po2":  # odd sizes only; a second color only above r
-        return range(2, n + 1, 2), (), lambda s, m: range(m + 1 if s > r else 1), None
-    keep = None
-    if kind == "pmex":  # block sizes ascend from the last block
-        keep = lambda walk: (b for b in walk if _run_at_least(_mex_and_run(map(_SIZE, reversed(b)))[1], r))
-    return range(2, r, 2) if kind == "pe" else (), (), lambda s, m: range(1), keep  # pe: no even size below r
+        return range(2, n + 1, 2), (), lambda s, m: range(m + 1 if s > r else 1), components
+    return (), (), lambda s, m: range(1), components
 
 
 def _blocks(n: int, skip, once) -> Iterator[tuple[int, range]]:
@@ -385,46 +405,61 @@ def _fan_out(walk, patterns, cls) -> Iterator:
 def _members(family: Family, n: int) -> Iterator:
     """The weight-``n`` members of ``family``, lazily, in canonical order:
     the rule's walk, each block rendered as its patterns, one per number of
-    marked copies, once per call for every block of weight <= ``n``."""
+    marked copies, once per call for every block of weight <= ``n``.
+
+    A partition kind walks each component at ``n`` less its ``must`` over
+    the sizes not in ``miss``, and places the ``must`` staircase as it
+    flattens the blocks; more than one component goes through
+    :func:`_merged`.  The marked kinds have the one component ``((), ())``.
+    """
     _require_int(n, 0, "weight")
-    skip, once, marks, keep = _rule(family, n)
-    walk = _walk(n, skip, once)
-    if keep is not None:
-        walk = keep(walk)
+    skip, once, marks, components = _rule(family, n)
     cls = MEMBER_TYPES[family.kind]
     if cls is Partition:
-        return map(_flat, walk)
+        streams = [
+            map(_flat, _walk(n - sum(must), {*skip, *miss}, once), repeat(tuple(reversed(must))))
+            for must, miss in components
+        ]
+        return map(Partition._trusted, streams[0] if len(streams) == 1 else _merged(streams))
     pattern = _PATTERN[cls]
     patterns = {
         (s, m): [pattern(s, m, c) for c in marks(s, m)] for s, mults in _blocks(n, skip, once) for m in mults
     }
-    return _fan_out(walk, patterns, cls)
+    return _fan_out(_walk(n, skip, once), patterns, cls)
+
+
+def _merged(streams) -> Iterator[tuple[int, ...]]:
+    """One canonical stream of nonempty parts from several, each canonical
+    and disjoint: each stream's runs of equal largest part (``_SIZE``, the
+    first) are merged by a heap, and the parts of equal largest part are
+    sorted together, descending."""
+    runs = [((largest, list(run)) for largest, run in groupby(stream, _SIZE)) for stream in streams]
+    for _, same in groupby(heapq.merge(*runs, key=_SIZE, reverse=True), _SIZE):
+        yield from sorted(chain.from_iterable(run for _, run in same), reverse=True)
 
 
 def _series(family: Family, degree: int) -> list[int]:
     """``series[n]`` is the number of weight-``n`` members of ``family`` for
     0 <= n <= ``degree``, building no member and no pattern.
 
-    A knapsack over the sizes the rule allows: the product over them of
-    sum_m len(marks(s, m)) q^(s m), with m <= 1 for the sizes taken at most
-    once.  Each size's factor is applied in place, from the top coefficient
-    down.  The product starts from 1, and for ``pmex`` from its mex sum
-    sum_{m >= 1} q^(m(m-1)/2) (q^m;q)_r: a member of mex m has every size
-    below m and none of m..m+r-1, and the knapsack, over every size, adds
-    the other copies.  Only the factors (1 - q^e) with e <= ``degree``
-    apply, so the cost does not grow with r.
+    Each component ``(must, miss)`` of the rule adds q^|must| times the
+    product over ``miss`` of (1 - q^e): a member has every size in ``must``
+    and none in ``miss``.  For ``pmex`` that is its definition's sum over
+    the mex m of q^(m(m-1)/2) (q^m;q)_r, only the factors with e <=
+    ``degree`` applied, so the cost does not grow with r.  A knapsack over
+    the sizes the rule allows multiplies the sum by sum_m len(marks(s, m))
+    q^(s m) for each size s, with m <= 1 for the sizes taken at most once,
+    and so adds every other copy.  Each size's factor is applied in place,
+    from the top coefficient down.
     """
-    skip, once, marks, _ = _rule(family, degree)
-    series = [1] + [0] * degree
-    if family.kind == "pmex":
-        series, mex, low = [0] * (degree + 1), 1, 0  # low: mex(mex-1)/2
-        while low <= degree:
-            term = [1] + [0] * (degree - low)
-            for e in range(mex, min(mex + family.r, degree - low + 1)):
-                term[e:] = map(sub, term[e:], term[:-e])
-            series[low:] = map(add, series[low:], term)
-            low += mex
-            mex += 1
+    skip, once, marks, components = _rule(family, degree)
+    series = [0] * (degree + 1)
+    for must, miss in components:
+        low = sum(must)
+        term = [1] + [0] * (degree - low)
+        for e in miss:
+            term[e:] = map(sub, term[e:], term[:-e])
+        series[low:] = map(add, series[low:], term)
     for s, mults in _blocks(degree, skip, once):
         weights = [len(marks(s, m)) for m in mults]
         for n in range(degree, s - 1, -1):

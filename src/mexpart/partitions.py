@@ -249,9 +249,8 @@ def mex_sequence(p: Partition) -> MexSequence:
 
 
 def _mex_and_run(sizes: Iterable[int]) -> tuple[int, int | _InfiniteLength]:
-    """(start, length) of the mex run of a partition whose part sizes, each
-    at least once, ascend in ``sizes``: ``reversed(parts)``, or the sizes of
-    a block walk's blocks read from the last.
+    """(start, length) of the mex run of a partition whose parts ascend in
+    ``sizes``: ``reversed(parts)``.
 
     The mex m is the first size the scan skips, and the run ends at the
     first size above m.

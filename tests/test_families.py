@@ -350,14 +350,25 @@ class TestGeneratorsMatchTheFilter:
 
     @pytest.mark.parametrize("kind", ["obar", "pe", "po2", "pmex", "p", "pbar"])
     def test_equals_generate_then_filter(self, kind):
+        # pmex up to r = 12, past every finite mex run of a partition of 20
+        # from r = 12 on, and at r = 10^6
+        rs = {"p": [None], "pbar": [None], "pmex": [*range(1, 13), 10**6]}.get(kind, range(1, 7))
         for n in range(21):
-            for r in [None] if kind in ("p", "pbar") else range(1, 7):
+            for r in rs:
                 try:
                     family = Family(kind, r)
                 except ValueError:
                     continue
                 expected = tuple(x for x in base_family(kind, n, r) if is_member(family, x))
                 assert enumerate_family(family, n) == expected, (kind, n, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_pmex_at_30_equals_generate_then_filter(self, r):
+        # pmex at n = 30 has up to eight components, one per mex, whose runs
+        # of equal largest part interleave.
+        family = Family("pmex", r)
+        expected = tuple(x for x in base_family("pmex", 30, r) if is_member(family, x))
+        assert enumerate_family(family, 30) == expected
 
     def test_trusted_objects_equal_validated_rebuilds(self):
         rebuild = {
@@ -509,16 +520,16 @@ class TestRuleData:
         # its patterns: the one-block objects that is_member accepts are
         # exactly those whose number of marked copies is in marks(s, m),
         # ascending, and there are none for a skipped size, for two or more
-        # copies of a size taken once, or for a block that keep drops.
+        # copies of a size taken once, or for a block that no component
+        # takes: one whose must holds another size, or whose miss holds s.
         n = 24
-        skip, once, marks, keep = _rule(family, n)
+        skip, once, marks, components = _rule(family, n)
         cls = MEMBER_TYPES[family.kind]
         for s in range(1, n + 1):
             for m in range(1, n // s + 1):
                 accepted = [c for c, x in one_block_objects(cls, s, m) if is_member(family, x)]
                 allowed = s not in skip and (m == 1 or s not in once)
-                if keep is not None:
-                    allowed = allowed and any(keep([((s, m),)]))
+                allowed = allowed and any(set(must) <= {s} and s not in miss for must, miss in components)
                 assert accepted == (list(marks(s, m)) if allowed else []), (s, m)
 
     def test_series_builds_no_pattern(self):
