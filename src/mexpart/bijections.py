@@ -25,12 +25,12 @@ body, which ``UNCHECKED`` gives for callers that have already made it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import _SIZE, ColoredPartition, Family, Overpartition, is_member
 from .partitions import (
-    INFINITE, Partition, _conjugate, _merge, _mex_and_run, _oplus, _require_int, _run_at_least, _split,
+    INFINITE, Partition, _conjugate, _merge, _mex_and_run, _oplus, _Record, _require_int, _run_at_least,
+    _set, _split,
 )
 
 __all__ = [
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SigmaDecomposition:
+class SigmaDecomposition(_Record):
     """Split of a partition into a padding summand and a gap-free core.
 
     ``oplus(delta, sigma)`` reconstructs the original partition; every part
@@ -54,9 +53,12 @@ class SigmaDecomposition:
     has no gaps.
     """
 
-    delta: Partition
-    sigma: Partition
-    r: int
+    __slots__ = ("delta", "sigma", "r")
+
+    def __init__(self, delta: Partition, sigma: Partition, r: int):
+        _set(self, "delta", delta)
+        _set(self, "sigma", sigma)
+        _set(self, "r", r)
 
 
 def _check_domain(map_id: str, obj, r: int) -> None:

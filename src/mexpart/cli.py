@@ -19,10 +19,10 @@ each map's input parser and its r rule all come from the registry in
 The ``mexpart`` command (:func:`main`) first freezes the heap its imports
 built, so that the collections at interpreter shutdown skip it.  From the
 moment the imports are done to exit, a process of ``count --family p --n 1``
-took 20.9 ms without the freeze and 8.5 ms with it, and one of ``gf --r 3
---degree 3000`` 59 ms and 45 ms (medians of 41 processes each, one CPU of a
-shared 2-CPU x86-64 host, CPython 3.11).  :func:`run` does not touch the
-collector.
+took 19.5 ms without the freeze and 8.5 ms with it, and one of ``gf --r 3
+--degree 3000`` 60 ms and 45 ms (medians of 41 processes each, one CPU of a
+shared 2-CPU x86-64 host, CPython 3.11, no ``__pycache__``).  :func:`run`
+does not touch the collector.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -152,13 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The keys of a member type's JSONL record: its dataclass fields, in order.
-_FIELDS = {cls: tuple(field.name for field in fields(cls)) for cls in MEMBER_TYPES.values()}
-
-
 def _record(obj) -> str:
-    # Tuples encode as JSON arrays, so each field is written as it is held.
-    return json.dumps({name: getattr(obj, name) for name in _FIELDS[type(obj)]}, separators=(",", ":"))
+    # The keys are the member type's fields, its __slots__, in order.  Tuples
+    # encode as JSON arrays, so each field is written as it is held.
+    return json.dumps({name: getattr(obj, name) for name in type(obj).__slots__}, separators=(",", ":"))
 
 
 def _emitter(fmt: str):
@@ -327,11 +323,12 @@ def run(argv, stdin=None) -> tuple[int, str, str]:
 def main() -> int:
     """The ``mexpart`` command: streams to stdout and returns the exit code,
     141 (as for SIGPIPE) when the reader of stdout leaves early."""
-    # Move the import-time heap (about 13.8k tracked objects, which live
+    # Move the import-time heap (about 12.3k tracked objects, which live
     # until exit anyway) into the collector's permanent generation, so that
     # the collections at interpreter shutdown skip it: after importing this
-    # module, sys.exit(0) took 12-15 ms, or 3.5-3.9 ms with this freeze
-    # first (medians, one CPU of a shared 2-CPU x86-64 host, CPython 3.11).
+    # module, sys.exit(0) took 15.0-17.5 ms, or 4.0-4.5 ms with this freeze
+    # first (quartiles of 41 processes, one CPU of a shared 2-CPU x86-64
+    # host, CPython 3.11, no __pycache__).
     # What the run allocates stays collectable.  Only the process entry
     # freezes; run() and importing mexpart leave the collector alone.
     gc.freeze()

@@ -13,18 +13,17 @@ names the command line uses:
 ==========  =============================================================
 
 Each family's rule is written once, in ``_rule``, as data: the sizes the
-walk skips (``po2``'s even sizes), the sizes it takes at most once (those
-that must be overlined), ``marks(s, m)``, the ascending range of how many
-of a block's m copies of size s carry a mark (an overline, or ``po2``'s
-second color), and the family's components, each ``(must, miss)``: a member
-of one takes every size in ``must`` and none in ``miss``.  ``pmex`` has one
-component per mex m, which must take the staircase 1..m-1 and miss the r
-sizes from m; ``pe``'s one component misses the even sizes below r; every
-other kind has the one component ``((), ())``.  ``_members`` expands the
-rule into members: the walk is iterative, one explicit stack of (size,
-multiplicity) blocks, filled greedily and backtracked, that yields each
-partition as soon as it is complete, and each block becomes one pattern per
-number in ``marks``.  Each component is walked apart, its ``must`` placed
+walk skips (``po2``'s even sizes, ``pe``'s even sizes below r), the sizes
+it takes at most once (those that must be overlined), ``marks(s, m)``, the
+ascending range of how many of a block's m copies of size s carry a mark
+(an overline, or ``po2``'s second color), and the family's components, each
+``(must, miss)``: a member of one takes every size in ``must`` and none in
+``miss``.  ``pmex`` has one component per mex m, which must take the
+staircase 1..m-1 and miss the r sizes from m; every other kind has the one
+component ``((), ())``.  ``_members`` expands the rule into members: the
+walk is iterative, one explicit stack of (size, multiplicity) blocks,
+filled greedily and backtracked, that yields each partition as soon as it
+is complete, and each block becomes one pattern per number in ``marks``.  Each component is walked apart, its ``must`` placed
 as the blocks are flattened, and the components' streams are merged into
 canonical order.  ``_series`` counts by the same rule and builds no member
 and no pattern: each component adds q^|must| times the product over
@@ -54,13 +53,11 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from itertools import chain, groupby, repeat, starmap
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
-from .partitions import _UNBOUNDED, Partition, _descending, _require_int, _tokens
+from .partitions import _UNBOUNDED, Partition, _Record, _descending, _require_int, _set, _tokens
 from .partitions import _colored_arguments, _colored_token, _mex_and_run, _overpartition_arguments
 from .partitions import _overpartition_token, _refuse, _run_at_least
 
@@ -74,12 +71,10 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class Overpartition:
     """An overpartition: distinct overlined parts plus unrestricted plain parts."""
 
-    overlined: tuple[int, ...]
-    plain: tuple[int, ...]
+    __slots__ = ("overlined", "plain")
 
     def __init__(self, overlined: Iterable[int] = (), plain: Iterable[int] = ()):
         over, rest = _descending(overlined), _descending(plain)
@@ -87,6 +82,19 @@ class Overpartition:
             raise ValueError("overlined parts must be distinct")
         self.overlined = over
         self.plain = rest
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.overlined == other.overlined and self.plain == other.plain
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.overlined != other.overlined or self.plain != other.plain
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.overlined, self.plain))
 
     @classmethod
     def _trusted(cls, overlined: tuple[int, ...], plain: tuple[int, ...]) -> "Overpartition":
@@ -141,12 +149,11 @@ class Overpartition:
         return cls._trusted(tuple(overlined), tuple(plain))
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class ColoredPartition:
     """Odd parts in two colors, any size in either color; ``po2``'s bound on
     the second color is the family's, checked by :func:`is_member`."""
 
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[tuple[int, int]] = ()):
         ordered = list(parts)
@@ -163,6 +170,19 @@ class ColoredPartition:
         ordered.sort(key=_COLOR)
         ordered.sort(key=_SIZE, reverse=True)
         self.parts = tuple(ordered)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts != other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def _trusted(cls, parts: tuple[tuple[int, int], ...]) -> "ColoredPartition":
@@ -214,29 +234,28 @@ MEMBER_TYPES = {
 FAMILY_KINDS = tuple(MEMBER_TYPES)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Record):
     """Identifier for one of the named counting families, and the one place
     that knows which kinds take ``r`` and which need it odd (``pe``) or even
     (``po2``); a bijection's r rule is that of its domain and codomain
     families."""
 
-    kind: str
-    r: int | None = None
+    __slots__ = ("kind", "r")
 
-    def __post_init__(self):
-        kind, r = self.kind, self.r
+    def __init__(self, kind: str, r: int | None = None):
         if kind not in MEMBER_TYPES:
             raise ValueError(f"unknown family {kind!r}")
         if kind in ("p", "pbar"):
             if r is not None:
                 raise ValueError(f"family {kind!r} takes no parameter r")
-            return
-        _require_int(r, 1, f"r of family {kind!r}")
-        if kind == "pe" and r % 2 == 0:
-            raise ValueError(f"family 'pe' needs odd r, got {r}")
-        if kind == "po2" and r % 2 == 1:
-            raise ValueError(f"family 'po2' needs even r, got {r}")
+        else:
+            _require_int(r, 1, f"r of family {kind!r}")
+            if kind == "pe" and r % 2 == 0:
+                raise ValueError(f"family 'pe' needs odd r, got {r}")
+            if kind == "po2" and r % 2 == 1:
+                raise ValueError(f"family 'po2' needs even r, got {r}")
+        _set(self, "kind", kind)
+        _set(self, "r", r)
 
 
 def is_member(family: Family, obj: object) -> bool:
@@ -332,24 +351,24 @@ def _rule(family: Family, n: int):
     marks, components)``.
 
     ``skip`` and ``once`` are the sizes the walk skips and the sizes it
-    takes at most once.  ``marks(s, m)`` is the ascending range of how many
-    of the ``m`` parts of size ``s`` in a block carry a mark, an overline
-    for the overpartition kinds and the second color for ``po2``; each
-    number is one pattern of the block, and ascending is canonical order
-    (plain before overlined, first color before second).  The partition
-    kinds mark nothing, ``range(1)``.  The members fall into disjoint
-    ``components``, each ``(must, miss)``: a member of the component takes
-    every size in ``must`` at least once and none in ``miss``.  ``pmex`` has
-    one component per mex m with m(m-1)/2 <= ``n``, whose ``must`` is the
-    staircase 1..m-1 and whose ``miss`` is the r sizes from m, up to the
-    largest the rest of ``n`` can take; ``pe``'s one component misses the
-    even sizes below r; every other kind has the one component ``((),
+    takes at most once: ``po2`` skips the even sizes and ``pe`` the even
+    sizes below r.  ``marks(s, m)`` is the ascending range of how many of
+    the ``m`` parts of size ``s`` in a block carry a mark, an overline for
+    the overpartition kinds and the second color for ``po2``; each number
+    is one pattern of the block, and ascending is canonical order (plain
+    before overlined, first color before second).  The partition kinds mark
+    nothing, ``range(1)``.  The members fall into disjoint ``components``,
+    each ``(must, miss)``: a member of the component takes every size in
+    ``must`` at least once and none in ``miss``.  ``pmex`` has one component
+    per mex m with m(m-1)/2 <= ``n``, whose ``must`` is the staircase
+    1..m-1 and whose ``miss`` is the r sizes from m, up to the largest the
+    rest of ``n`` can take; every other kind has the one component ``((),
     ())``.  Every ``must`` is such a staircase, which :func:`_flat` places.
     Nothing here grows with r: each set of sizes is a range or bounded by
     ``n``.
     """
     kind, r = family.kind, family.r
-    components = [((), range(2, min(r, n + 1), 2) if kind == "pe" else ())]  # pe: no even size below r
+    components = [((), ())]
     if kind == "pmex":  # m(m-1)/2: the weight of the staircase below the mex m
         components = [
             (range(1, m), range(m, min(m + r, n - m * (m - 1) // 2 + 1)))
@@ -364,7 +383,8 @@ def _rule(family: Family, n: int):
         return (), forced, lambda s, m: range(1, 2) if s in forced else range(2), components
     if kind == "po2":  # odd sizes only; a second color only above r
         return range(2, n + 1, 2), (), lambda s, m: range(m + 1 if s > r else 1), components
-    return (), (), lambda s, m: range(1), components
+    skip = range(2, min(r, n + 1), 2) if kind == "pe" else ()  # pe: no even size below r
+    return skip, (), lambda s, m: range(1), components
 
 
 def _blocks(n: int, skip, once) -> Iterator[tuple[int, range]]:
@@ -433,8 +453,11 @@ def _merged(streams) -> Iterator[tuple[int, ...]]:
     and disjoint: each stream's runs of equal largest part (``_SIZE``, the
     first) are merged by a heap, and the parts of equal largest part are
     sorted together, descending."""
+    # Imported here, the one user, so that importing the package does not load it.
+    from heapq import merge
+
     runs = [((largest, list(run)) for largest, run in groupby(stream, _SIZE)) for stream in streams]
-    for _, same in groupby(heapq.merge(*runs, key=_SIZE, reverse=True), _SIZE):
+    for _, same in groupby(merge(*runs, key=_SIZE, reverse=True), _SIZE):
         yield from sorted(chain.from_iterable(run for _, run in same), reverse=True)
 
 

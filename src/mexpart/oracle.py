@@ -17,12 +17,11 @@ round-tripped here without further code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from .bijections import INVERSE, MAPS, UNCHECKED, map_families
 from .families import Family, _series, enumerate_family, is_member
-from .partitions import _require_int, conjugate, glaisher_split
+from .partitions import _Record, _require_int, _set, conjugate, glaisher_split
 from .qseries import gf_pmex
 
 __all__ = [
@@ -37,14 +36,16 @@ __all__ = [
 TABLE_IDS = (1, 2, 3, 4, 5, 6)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One comparison: passes iff expected equals actual."""
 
-    name: str
-    params: str
-    expected: object
-    actual: object
+    __slots__ = ("name", "params", "expected", "actual")
+
+    def __init__(self, name: str, params: str, expected: object, actual: object):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
 
     @property
     def passed(self) -> bool:
@@ -55,9 +56,11 @@ class Check:
         return f"{status} {self.name} [{self.params}]: expected {self.expected}, actual {self.actual}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[Check, ...]
+class VerificationReport(_Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...]):
+        _set(self, "checks", checks)
 
     @property
     def overall(self) -> bool:

@@ -16,7 +16,6 @@ printed, only to word the same message as always.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Iterable, NoReturn
@@ -36,18 +35,33 @@ __all__ = [
 
 
 # The four object types (also Overpartition, ColoredPartition and
-# TruncatedSeries) take equality and hashing by their fields from dataclass.
-# They are not frozen: a frozen class assigns through object.__setattr__,
-# which doubled the cost of ``_trusted``, the generators' hot path.  Each
-# keeps its own checking ``__init__`` and its ``__repr__``.
-@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
+# TruncatedSeries) are ``__slots__`` classes, each with its own checking
+# ``__init__``, its ``__repr__``, and equality and hashing over its fields:
+# equal only to an object of the same class, hashed as the tuple of its
+# fields.  Each defines ``__ne__`` as well, since without it every ``!=``
+# goes through ``object.__ne__`` to ``__eq__``, one more call.  They are not
+# frozen: a frozen class assigns through object.__setattr__, which doubled
+# the cost of ``_trusted``, the generators' hot path.
 class Partition:
     """A partition stored in canonical form (sorted descending, parts >= 1)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         self.parts = _descending(parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts != other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -208,20 +222,67 @@ class _InfiniteLength:
     def __repr__(self) -> str:
         return "INFINITE"
 
+    def __reduce__(self) -> str:
+        # Pickled and copied by name, so ``length is INFINITE`` still holds.
+        return "INFINITE"
+
 
 INFINITE = _InfiniteLength()
 
 
-@dataclass(frozen=True)
-class MexSequence:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records (``MexSequence``, ``Family``,
+    ``SigmaDecomposition``, ``Check``, ``VerificationReport``).
+
+    A record's fields are its ``__slots__``, in order, set once by its own
+    ``__init__`` through ``_set``; any other assignment raises
+    AttributeError.  It prints as ``Name(field=value, ...)``, is equal only
+    to a record of the same class with equal fields, and hashes as the
+    tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MexSequence(_Record):
     """Maximal run of consecutive missing integers starting at the mex.
 
     ``length`` is either a positive integer (the run closes at the next
     present part) or :data:`INFINITE` (no part lies beyond the start).
     """
 
-    start: int
-    length: int | _InfiniteLength
+    __slots__ = ("start", "length")
+
+    def __init__(self, start: int, length: int | _InfiniteLength):
+        _set(self, "start", start)
+        _set(self, "length", length)
 
     @property
     def is_infinite(self) -> bool:

@@ -20,7 +20,6 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .partitions import _require_int
@@ -38,11 +37,11 @@ __all__ = [
 DEFAULT_DEGREE = 64
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class TruncatedSeries:
-    """Coefficients 0..degree of a formal power series, exact integers."""
+    """Coefficients 0..degree of a formal power series, exact integers;
+    equal and hashed by ``coeffs``, as the types of :mod:`mexpart.partitions`."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
@@ -52,6 +51,19 @@ class TruncatedSeries:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         self.coeffs = cs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs != other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def degree(self) -> int:

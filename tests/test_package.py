@@ -1,8 +1,15 @@
 import ast
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import mexpart
-from mexpart import ColoredPartition, Overpartition, Partition, TruncatedSeries
+from mexpart import INFINITE, Check, ColoredPartition, Family, MexSequence, Overpartition, Partition
+from mexpart import SigmaDecomposition, TruncatedSeries, VerificationReport, sigma_decompose
 from mexpart import bijections, families, oracle, partitions, qseries
 
 MODULES = (bijections, families, oracle, partitions, qseries)
@@ -35,8 +42,9 @@ def test_value_types_compare_and_hash_by_their_fields():
     ]
     for a, b in pairs:
         assert a == b and not a != b
-        assert hash(a) == hash(b)
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, name) for name in type(a).__slots__))
         assert {a: "found"}[b] == "found"
+        assert pickle.loads(pickle.dumps(a)) == a
     assert ColoredPartition([(5, 1)]) != ColoredPartition([(5, 2)])
     assert Partition([3, 1]) != Partition([3])
     assert Overpartition([2], []) != Overpartition([], [2])
@@ -51,3 +59,62 @@ def test_value_types_compare_and_hash_by_their_fields():
             if type(a) is not type(b):
                 assert a != b and not a == b, (i, j)
         assert a != 1
+
+
+def test_records_compare_hash_print_and_refuse_assignment():
+    check = Check("c", "n=1", 3, 4)
+    records = [
+        (MexSequence(4, 3), MexSequence(start=4, length=3), "MexSequence(start=4, length=3)"),
+        (MexSequence(1, INFINITE), MexSequence(1, INFINITE), "MexSequence(start=1, length=INFINITE)"),
+        (Family("pmex", 2), Family(kind="pmex", r=2), "Family(kind='pmex', r=2)"),
+        (Family("p"), Family("p", None), "Family(kind='p', r=None)"),
+        (
+            sigma_decompose(Partition([5, 3, 1]), 1),
+            SigmaDecomposition(Partition([4, 2]), Partition([1, 1, 1]), 1),
+            "SigmaDecomposition(delta=Partition([4, 2]), sigma=Partition([1, 1, 1]), r=1)",
+        ),
+        (check, Check(name="c", params="n=1", expected=3, actual=4), "Check(name='c', params='n=1', expected=3, actual=4)"),
+        (
+            VerificationReport((check,)),
+            VerificationReport(checks=(Check("c", "n=1", 3, 4),)),
+            "VerificationReport(checks=(Check(name='c', params='n=1', expected=3, actual=4),))",
+        ),
+    ]
+    for a, b, printed in records:
+        assert repr(a) == repr(b) == printed
+        assert a == b and not a != b
+        fields = tuple(getattr(a, name) for name in type(a).__slots__)
+        assert hash(a) == hash(b) == hash(fields)
+        assert pickle.loads(pickle.dumps(a)) == a
+        for name in (*type(a).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert tuple(getattr(a, name) for name in type(a).__slots__) == fields
+
+    # a record differs from one whose fields differ, and from any other type
+    assert MexSequence(4, 3) != MexSequence(4, 4)
+    assert Family("pe", 3) != Family("obar", 3)
+    assert Check("c", "n=1", 3, 4) != Check("c", "n=1", 3, 3)
+    objects = [a for a, _, _ in records] + [(4, 3), ("pmex", 2), Partition([4, 3])]
+    for i, a in enumerate(objects):
+        for j, b in enumerate(objects):
+            if type(a) is not type(b):
+                assert a != b and not a == b, (i, j)
+
+
+def test_import_loads_neither_dataclasses_nor_heapq():
+    # Every command starts a process, so what importing the package loads
+    # is paid on each one: dataclasses alone brings inspect, ast, dis and
+    # tokenize, and heapq is needed only when pmex's streams are merged.
+    src = str(Path(mexpart.__file__).resolve().parents[1])
+    code = "import sys, mexpart, mexpart.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "mexpart.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "heapq"}
