@@ -16,25 +16,32 @@ each map's input parser and its r rule all come from the registry in
 :mod:`mexpart.bijections`; the ``--family`` choices from
 :data:`mexpart.families.FAMILY_KINDS`.
 
+Argv is read from one table, ``_COMMANDS``, which also gives ``--help``.
+The grammar is exactly ``mexpart COMMAND (--OPTION VALUE)...``: each option
+by its full name, at most once, its value the next word; any other argv
+exits 2 with a message that names the word at fault and the usage line.
+
 The ``mexpart`` command (:func:`main`) first freezes the heap its imports
 built, so that the collections at interpreter shutdown skip it.  From the
 moment the imports are done to exit, a process of ``count --family p --n 1``
-took 19.5 ms without the freeze and 8.5 ms with it, and one of ``gf --r 3
---degree 3000`` 60 ms and 45 ms (medians of 41 processes each, one CPU of a
-shared 2-CPU x86-64 host, CPython 3.11, no ``__pycache__``).  :func:`run`
+took 12.0 ms without the freeze and 4.0 ms with it, and one of ``gf --r 3
+--degree 3000`` 44.8 ms and 37.1 ms.  With argparse, which built six
+subparsers and loaded gettext and locale in every process, the same spans
+took 17.0 / 7.9 ms and 50.3 / 41.0 ms, and importing this module 31.1 ms
+against 26.9 ms now (medians of 41 processes each, alternating, one CPU of
+a shared 2-CPU x86-64 host, CPython 3.11, no ``__pycache__``).  :func:`run`
 does not touch the collector.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
-import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from . import oracle
@@ -109,59 +116,19 @@ def _integer(text: str) -> int:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(
-        f"must be an integer in ASCII digits without a leading zero, got {text!r}"
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mexpart",
-        description="Exact counting, enumeration, and bijections for partition mex runs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("count", help="print the size of a family at one weight")
-    cmd.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    cmd.add_argument("--n", required=True, type=_integer)
-    cmd.add_argument("--r", type=_integer)
-
-    cmd = sub.add_parser("enumerate", help="print every member of a family, one per line")
-    cmd.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    cmd.add_argument("--n", required=True, type=_integer)
-    cmd.add_argument("--r", type=_integer)
-    cmd.add_argument("--format", choices=("text", "jsonl"), default="text")
-
-    cmd = sub.add_parser("map", help="apply a bijection to objects read from stdin")
-    cmd.add_argument("--bijection", required=True, choices=sorted(_MAPS))
-    cmd.add_argument("--r", required=True, type=_integer)
-    cmd.add_argument("--format", choices=("text", "jsonl"), default="text")
-
-    cmd = sub.add_parser("gf", help="print generating-function coefficients 0..degree")
-    cmd.add_argument("--r", required=True, type=_integer)
-    cmd.add_argument("--degree", type=_integer)
-
-    cmd = sub.add_parser("verify", help="run the count and round-trip oracles")
-    cmd.add_argument("--max-n", required=True, type=_integer)
-    cmd.add_argument("--max-r", required=True, type=_integer)
-
-    cmd = sub.add_parser("table", help="recompute one of the six reference tables")
-    cmd.add_argument("--id", required=True, type=_integer, choices=oracle.TABLE_IDS)
-
-    return parser
-
-
-def _record(obj) -> str:
-    # The keys are the member type's fields, its __slots__, in order.  Tuples
-    # encode as JSON arrays, so each field is written as it is held.
-    return json.dumps({name: getattr(obj, name) for name in type(obj).__slots__}, separators=(",", ":"))
+    raise ValueError(f"must be an integer in ASCII digits without a leading zero, got {text!r}")
 
 
 def _emitter(fmt: str):
     """``emit(obj)``: write one object's line to the current stdout."""
     write = sys.stdout.write
     if fmt == "jsonl":
-        return lambda obj: write(_record(obj) + "\n")
+        import json  # here, so that no command writing text loads it
+
+        # The keys are the member type's fields, its __slots__, in order.
+        # Tuples encode as JSON arrays, so each field is written as it is held.
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        return lambda obj: write(encode({name: getattr(obj, name) for name in type(obj).__slots__}) + "\n")
     return lambda obj: write(obj.text() + "\n")
 
 
@@ -201,7 +168,7 @@ def _default_degree() -> int:
         return DEFAULT_DEGREE
     try:
         degree = _integer(raw)
-    except argparse.ArgumentTypeError:
+    except ValueError:
         degree = -1
     if degree < 0:
         raise ValueError(
@@ -284,24 +251,123 @@ def _cmd_table(args, stdin) -> int:
     return 0
 
 
+_FORMATS = ("text", "jsonl")
+_HELP = ("-h", "--help")
+
+# The whole argv grammar, `mexpart COMMAND (--OPTION VALUE)...`: each command
+# maps to its handler, its help line and its options, each option by its
+# full name to (required, default, choices), where choices is _integer or
+# the tuple of the values the option accepts.
 _COMMANDS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "map": _cmd_map,
-    "gf": _cmd_gf,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
+    "count": (_cmd_count, "print the size of a family at one weight", {
+        "--family": (True, None, FAMILY_KINDS),
+        "--n": (True, None, _integer),
+        "--r": (False, None, _integer),
+    }),
+    "enumerate": (_cmd_enumerate, "print every member of a family, one per line", {
+        "--family": (True, None, FAMILY_KINDS),
+        "--n": (True, None, _integer),
+        "--r": (False, None, _integer),
+        "--format": (False, "text", _FORMATS),
+    }),
+    "map": (_cmd_map, "apply a bijection to objects read from stdin", {
+        "--bijection": (True, None, tuple(sorted(_MAPS))),
+        "--r": (True, None, _integer),
+        "--format": (False, "text", _FORMATS),
+    }),
+    "gf": (_cmd_gf, "print generating-function coefficients 0..degree", {
+        "--r": (True, None, _integer),
+        "--degree": (False, None, _integer),
+    }),
+    "verify": (_cmd_verify, "run the count and round-trip oracles", {
+        "--max-n": (True, None, _integer),
+        "--max-r": (True, None, _integer),
+    }),
+    "table": (_cmd_table, "recompute one of the six reference tables", {
+        "--id": (True, None, oracle.TABLE_IDS),
+    }),
 }
+
+
+def _usage(command) -> str:
+    """The usage line of ``command``, or of every command when it is None."""
+    if command is None:
+        return f"mexpart {{{','.join(_COMMANDS)}}} [--OPTION VALUE]..."
+    words = ["mexpart", command]
+    for option, (required, _, choices) in _COMMANDS[command][2].items():
+        if choices is _integer:
+            value = option[2:].upper().replace("-", "_")
+        else:
+            value = "{" + ",".join(map(str, choices)) + "}"
+        words.append(f"{option} {value}" if required else f"[{option} {value}]")
+    return " ".join(words)
+
+
+def _help(command) -> str:
+    """The text of ``mexpart --help``, or of ``mexpart COMMAND --help``."""
+    if command is not None:
+        return f"usage: {_usage(command)}\n\n{_COMMANDS[command][1]}"
+    lines = [f"usage: {_usage(None)}", "", "Exact counting, enumeration, and bijections for partition mex runs.", ""]
+    for name, (_, text, _) in _COMMANDS.items():
+        lines += [f"  {_usage(name)}", f"      {text}"]
+    lines += ["", "Each option is written by its full name, at most once, and its value is the next word."]
+    return "\n".join(lines)
+
+
+def _refused(command, message: str) -> ValueError:
+    return ValueError(f"{message}\nusage: {_usage(command)}")
+
+
+def _parse(argv) -> tuple:
+    """(command, its option values by attribute name) for ``argv``, the
+    values None when ``argv`` asks for help.  Any other argv raises a
+    ValueError that names the word at fault and gives the usage line."""
+    words = iter(argv)
+    command = next(words, None)
+    if command in _HELP:
+        return None, None
+    if command not in _COMMANDS:
+        raise _refused(None, "no command given" if command is None else f"unknown command {command!r}")
+    options = _COMMANDS[command][2]
+    given = {}
+    for word in words:
+        if word in _HELP:
+            return command, None
+        if word not in options:
+            raise _refused(command, f"unknown option {word!r}")
+        if word in given:
+            raise _refused(command, f"{word} given twice")
+        value = next(words, None)
+        if value is None:
+            raise _refused(command, f"{word} needs a value")
+        choices = options[word][2]
+        if choices is _integer:
+            try:
+                given[word] = _integer(value)
+            except ValueError as exc:
+                raise _refused(command, f"{word}: {exc}") from None
+        else:
+            by_text = {str(choice): choice for choice in choices}
+            if value not in by_text:
+                raise _refused(command, f"{word}: invalid choice {value!r} (choose from {', '.join(by_text)})")
+            given[word] = by_text[value]
+    values = {}
+    for option, (required, default, _) in options.items():
+        if required and option not in given:
+            raise _refused(command, f"{option} is required")
+        values[option[2:].replace("-", "_")] = given.get(option, default)
+    return command, values
 
 
 def _execute(argv, stdin) -> int:
     """Run one invocation, writing to the current ``sys.stdout`` and
     ``sys.stderr`` as output is produced; returns the exit code."""
     try:
-        args = _build_parser().parse_args(list(argv))
-        return _COMMANDS[args.command](args, stdin)
-    except SystemExit as exc:  # argparse reports its own usage errors
-        return exc.code if isinstance(exc.code, int) else 2
+        command, values = _parse(argv)
+        if values is None:
+            print(_help(command))
+            return 0
+        return _COMMANDS[command][0](SimpleNamespace(**values), stdin)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -323,12 +389,13 @@ def run(argv, stdin=None) -> tuple[int, str, str]:
 def main() -> int:
     """The ``mexpart`` command: streams to stdout and returns the exit code,
     141 (as for SIGPIPE) when the reader of stdout leaves early."""
-    # Move the import-time heap (about 12.3k tracked objects, which live
+    # Move the import-time heap (about 12.0k tracked objects, which live
     # until exit anyway) into the collector's permanent generation, so that
     # the collections at interpreter shutdown skip it: after importing this
-    # module, sys.exit(0) took 15.0-17.5 ms, or 4.0-4.5 ms with this freeze
+    # module, sys.exit(0) took 9.9-13.8 ms, or 2.8-4.0 ms with this freeze
     # first (quartiles of 41 processes, one CPU of a shared 2-CPU x86-64
-    # host, CPython 3.11, no __pycache__).
+    # host, CPython 3.11, no __pycache__).  The first _parse then takes
+    # 0.02-0.03 ms, where argparse's first parse took 3.0-4.6 ms.
     # What the run allocates stays collectable.  Only the process entry
     # freezes; run() and importing mexpart leave the collector alone.
     gc.freeze()

@@ -17,8 +17,6 @@ round-tripped here without further code.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .bijections import INVERSE, MAPS, UNCHECKED, map_families
 from .families import Family, _series, enumerate_family, is_member
 from .partitions import _Record, _require_int, _set, conjugate, glaisher_split
@@ -233,5 +231,9 @@ def golden_table(table_id: int) -> str:
     """The stored expected text for one table."""
     if _require_int(table_id, 1, "table id") not in TABLE_IDS:
         raise ValueError(f"table id must be 1..6, got {table_id!r}")
+    # imported here: it loads pathlib, tempfile and zipfile support, which
+    # every other command would pay for at start-up
+    from importlib import resources
+
     path = resources.files("mexpart") / "golden" / f"table{table_id}.txt"
     return path.read_text(encoding="utf-8")

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import io
 import json
@@ -271,44 +270,78 @@ def test_verify_failure_exits_one(monkeypatch):
     assert "FAIL forced" in out
 
 
+_USAGE_ERRORS = [
+    ["count", "--family", "nope", "--n", "4"],
+    ["count", "--family", "pmex", "--n", "4"],  # missing --r
+    ["count", "--family", "p", "--n", "4", "--r", "1"],  # spurious --r
+    ["count", "--family", "pe", "--n", "5", "--r", "2"],  # even r
+    ["count", "--family", "po2", "--n", "5", "--r", "3"],  # odd r
+    ["count", "--family", "p", "--n", "-1"],
+    ["table", "--id", "7"],
+    ["gf", "--r", "0", "--degree", "5"],
+    ["map", "--bijection", "odd", "--r", "2"],
+    ["map", "--bijection", "even", "--r", "3"],
+    ["map", "--bijection", "t5", "--r", "0"],
+    ["nonsense"],
+    [],
+    ["count", "--family", "p", "--n", "1_0"],
+    ["count", "--family", "p", "--n", "\u0663"],
+    ["count", "--family", "p", "--n", " 5"],
+    ["count", "--family", "p", "--n", "05"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["count", "--family", "nope", "--n", "4"],
-        ["count", "--family", "pmex", "--n", "4"],  # missing --r
-        ["count", "--family", "p", "--n", "4", "--r", "1"],  # spurious --r
-        ["count", "--family", "pe", "--n", "5", "--r", "2"],  # even r
-        ["count", "--family", "po2", "--n", "5", "--r", "3"],  # odd r
-        ["count", "--family", "p", "--n", "-1"],
-        ["table", "--id", "7"],
-        ["gf", "--r", "0", "--degree", "5"],
-        ["map", "--bijection", "odd", "--r", "2"],
-        ["map", "--bijection", "even", "--r", "3"],
-        ["map", "--bijection", "t5", "--r", "0"],
-        ["nonsense"],
-        [],
-        ["count", "--family", "p", "--n", "1_0"],
-        ["count", "--family", "p", "--n", "\u0663"],
-        ["count", "--family", "p", "--n", " 5"],
-        ["count", "--family", "p", "--n", "05"],
+        *(pytest.param(argv, None, id=f"argv{i}") for i, argv in enumerate(_USAGE_ERRORS)),
+        # Outside the grammar `mexpart COMMAND (--OPTION VALUE)...`: the first
+        # line of stderr names the word at fault, the second is the usage line.
+        pytest.param(["count", "--fam", "p", "--n", "3"], "'--fam'", id="abbreviation"),
+        pytest.param(["count", "--family", "p", "--n=5"], "'--n=5'", id="option=value"),
+        pytest.param(["count", "--family", "pmex", "--n", "3", "--r", "1", "--r", "1"], "--r ", id="repeated"),
+        pytest.param(["count", "--family", "p", "--n"], "--n ", id="no-value"),
+        pytest.param(["count", "--family", "p", "--n", "3", "--bogus", "1"], "'--bogus'", id="unknown-option"),
+        pytest.param(["--family", "p", "count", "--n", "3"], "'--family'", id="option-before-command"),
     ],
 )
-def test_usage_errors_exit_two(argv):
-    code, _, err = run(argv)
-    assert code == 2
-    assert err
+def test_usage_errors_exit_two(argv, named):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    if named:
+        first, usage = err.splitlines()
+        assert named in first
+        assert usage.startswith("usage: mexpart ")
 
 
 def _choices(command, option):
-    parser = cli._build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in commands.choices[command]._actions if option in a.option_strings)
+    return cli._COMMANDS[command][2][option][2]
 
 
 def test_choices_come_from_the_registries():
     assert set(_choices("map", "--bijection")) == set(bijections.MAPS)
     assert tuple(_choices("count", "--family")) == FAMILY_KINDS
     assert tuple(_choices("enumerate", "--family")) == FAMILY_KINDS
+
+
+def test_help_lists_every_command_and_option():
+    # `--help` lists every command with every option and choice; `COMMAND
+    # --help`, or -h at any option's place, lists that command's.
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert run(["-h"]) == (0, out, "")
+    for command, (_, text, options) in cli._COMMANDS.items():
+        own = run([command, "--help"])
+        assert own[0] == 0 and own[2] == ""
+        assert run([command, "-h"]) == own
+        for listing in (out, own[1]):
+            assert f"mexpart {command} " in listing and text in listing
+            for option, (_, _, choices) in options.items():
+                assert f"{option} " in listing
+                if choices is not cli._integer:
+                    assert "{" + ",".join(map(str, choices)) + "}" in listing
+    assert run(["count", "--family", "p", "--help"]) == run(["count", "--help"])
 
 
 def _first_line_then_close(argv):

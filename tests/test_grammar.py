@@ -6,7 +6,6 @@ grammar the long way, as whole-line patterns plus the token-order rules, and
 the properties check that both accept exactly the same strings.
 """
 
-import argparse
 import re
 
 from hypothesis import given, settings, strategies as st
@@ -139,7 +138,7 @@ def test_colored_parser_accepts_exactly_the_grammar(text):
 @thorough
 @given(lines)
 def test_cli_integer_accepts_exactly_the_grammar(text):
-    got = _parsed(cli._integer, text, argparse.ArgumentTypeError)
+    got = _parsed(cli._integer, text)
     assert got == reference_integer(text)
     if got is not None:
         assert str(got) == text

@@ -117,4 +117,25 @@ def test_import_loads_neither_dataclasses_nor_heapq():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "mexpart.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "heapq"}
+    assert not loaded & {
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "heapq",
+        "argparse", "gettext", "locale", "json", "importlib.resources",
+    }
+
+
+def test_a_command_loads_no_argument_parser():
+    # The CLI reads argv from its own option table, so running a command
+    # loads neither argparse nor the gettext and locale lookups it brings.
+    src = str(Path(mexpart.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from mexpart import cli\n"
+        "sys.argv = ['mexpart', 'count', '--family', 'p', '--n', '5']\n"
+        "code = cli.main()\n"
+        "print(code, ' '.join(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7\n", "0 \n")
