@@ -11,10 +11,11 @@ iff it is exactly how mexpart prints that value: an object line as its
 Output is written as it is produced.  ``enumerate``, ``map`` and ``gf``
 flush stdout after their lines 1, 2, 4, ..., 4096 (``_flushing``), so that
 the next stage of a pipe, or a coprocess, sees the first line at once; past
-that head the lines go out in 64 KiB blocks.  The ``--bijection`` choices,
-each map's input parser and its r rule all come from the registry in
-:mod:`mexpart.bijections`; the ``--family`` choices from
-:data:`mexpart.families.FAMILY_KINDS`.
+that head the lines go out in 64 KiB blocks.  ``gf`` flushes its lines
+0..64, from the series of degree 64, before it computes the full series.
+The ``--bijection`` choices, each map's input parser and its r rule all
+come from the registry in :mod:`mexpart.bijections`; the ``--family``
+choices from :data:`mexpart.families.FAMILY_KINDS`.
 
 Argv is read from one table, ``_COMMANDS``, which also gives ``--help``.
 The grammar is exactly ``mexpart COMMAND (--OPTION VALUE)...``: each option
@@ -39,10 +40,10 @@ import gc
 import io
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator
 
 from . import oracle
 from .bijections import DOMAIN, map_families
@@ -56,14 +57,12 @@ __all__ = ["main", "run"]
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The largest degree `gf` computes, whether it comes from `--degree` or from
 # MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
-# writes about 8 MB and peaks at 22 MB resident.  It takes 1.6-2.1 s for
-# r = 2 and 8 and 2.5-3.2 s for r = 3.  Each factor (1 - q^e) it applies
-# costs one pass over the coefficients from q^e up, and gf_pmex applies the
-# finite factors below r or the tail factors above r, whichever update
-# fewer coefficients.  At the ceiling that is 30 s for r = 10000, 41 s near
-# r = 14645 (0.29 * degree, the slowest), 24 s for r = 25000, 12 s for
-# r = 33333 and 2.7 s for r = 50000, which took 83 s with the finite
-# factors alone (2-CPU shared x86-64 host, CPython 3.11).
+# writes about 8 MB, peaks at 21-24 MB resident and took 1.2-3.4 s for every
+# r measured.  gf_pmex takes the finite factors below r or Euler's sum,
+# whichever costs fewer steps; the costliest r, where both cost about 20M,
+# is near 315: gf_pmex(315, 50000) took 2.2-2.7 s, and r = 14645 1.7-2.3 s
+# against 31-37 s before Euler's sum (min of 3 in process, two sets, one
+# CPU of a 2-CPU shared x86-64 host, CPython 3.11).
 # It is also the largest weight of an object `map` takes from obar, the one
 # domain whose maps can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of
@@ -228,9 +227,19 @@ def _cmd_gf(args, stdin) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
     _at_most(degree, MAX_DEGREE, DEGREE_ENV_VAR if args.degree is None else "--degree")
     write = sys.stdout.write
-    for n, value in enumerate(_flushing(gf_pmex(args.r, degree).coeffs)):
+    for n, value in enumerate(_flushing(_gf_coefficients(args.r, degree))):
         write(f"{n}\t{value}\n")
     return 0
+
+
+def _gf_coefficients(r: int, degree: int) -> Iterator[int]:
+    """Coefficients 0..degree of ``gf_pmex(r, degree)``; those up to
+    DEFAULT_DEGREE come from the series of that degree, then stdout is flushed."""
+    head = min(degree, DEFAULT_DEGREE)
+    yield from gf_pmex(r, head).coeffs
+    if degree > head:
+        sys.stdout.flush()
+        yield from islice(gf_pmex(r, degree).coeffs, head + 1, None)
 
 
 def _cmd_verify(args, stdin) -> int:

@@ -53,9 +53,9 @@ and its ``from_text`` accepts exactly the lines ``text()`` prints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import chain, groupby, repeat, starmap
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator
 
 from .partitions import _UNBOUNDED, Partition, _Record, _descending, _require_int, _set, _tokens
 from .partitions import _colored_arguments, _colored_token, _mex_and_run, _overpartition_arguments

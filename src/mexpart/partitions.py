@@ -16,9 +16,9 @@ printed, only to word the same message as always.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import add
-from typing import Iterable, NoReturn
 
 __all__ = [
     "INFINITE",
@@ -197,7 +197,7 @@ def _colored_arguments(tokens: list[str]) -> tuple[list[tuple[int, int]]]:
     return ([(int(size), int(color)) for size, color in pieces],)
 
 
-def _refuse(cls, line: str, tokens: list[str], arguments) -> NoReturn:
+def _refuse(cls, line: str, tokens: list[str], arguments):
     """Raise the error for a ``cls`` line that the token pass refused.
 
     The message is worded from the route that once decided acceptance:
@@ -264,10 +264,10 @@ class _Record:
     def __reduce__(self):
         return self.__class__, self._fields()
 
-    def __setattr__(self, name, value) -> NoReturn:
+    def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name) -> NoReturn:
+    def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
 

@@ -13,14 +13,14 @@ Gauss's phi(-q) = sum over k in Z of (-1)^k q^{k^2} = (q; q)_inf^2 / (q^2; q^2)_
 whose inverse is the overpartition series (-q; q)_inf / (q; q)_inf
 (Corteel and Lovejoy, "Overpartitions", 2004).  Dividing by a sparse series
 with O(sqrt(n)) terms up to q^n costs O(degree^1.5) steps in all, and each
-finite factor (1 - q^e) one pass.  ``poch_inv`` and ``series_mul`` compute
-the same product the direct way, in O(degree^2), and serve as its test
-oracle.
+finite factor (1 - q^e) one pass, or for larger r each term of Euler's sum
+(Andrews, Cor. 2.2).  ``poch_inv`` and ``series_mul`` compute the same
+product the direct way, in O(degree^2), and serve as its test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable, Iterator
 
 from .partitions import _require_int
 
@@ -200,45 +200,66 @@ def _times_inverse_one_minus(coeffs: list[int], e: int) -> None:
         coeffs[n] += coeffs[n - e]
 
 
-def _updates(exponents: range, degree: int) -> int:
+def _updates(exponents: Iterable[int], degree: int) -> int:
     """Coefficients that one pass per exponent in ``exponents`` updates."""
     return sum(degree + 1 - e for e in exponents)
+
+
+def _euler_terms(coeffs: list[int], step: int) -> Iterator[tuple[int, list[int]]]:
+    """Euler's sum 1/(z q; q^2)_inf = sum of z^k q^k / (q^2; q^2)_k at
+    z = q^(step-1), times ``coeffs``: yields (k * step, coeffs / (q^2; q^2)_k
+    cut at degree - k * step) while k * step <= degree, dividing and cutting
+    ``coeffs`` in place."""
+    k = 0
+    while True:
+        yield k * step, coeffs
+        k += 1
+        size = len(coeffs) - step
+        if size <= 0:
+            return
+        del coeffs[size:]
+        _times_inverse_one_minus(coeffs, 2 * k)
 
 
 def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
     """Generating function 1 / ((q; q^2)_inf (q^{r+1}; q^2)_inf), truncated.
 
     Coefficient n predicts the count of the ``pmex`` family at weight n,
-    independently of any enumeration.  The product is rewritten so that
-    every infinite factor is a sparse series or the inverse of one:
+    independently of any enumeration.  Every infinite factor is a sparse
+    series or the inverse of one, on one of two routes:
 
-    * odd r: (q^2; q^2)_{(r-1)/2} / (q; q)_inf, since (q; q^2)_inf (q^2; q^2)_inf
-      = (q; q)_inf;
-    * even r: (q; q^2)_{r/2} (q^2; q^2)_inf / phi(-q), since Gauss's
+    * finite: odd r is (q^2; q^2)_{(r-1)/2} / (q; q)_inf, since
+      (q; q^2)_inf (q^2; q^2)_inf = (q; q)_inf; even r is
+      (q; q^2)_{r/2} (q^2; q^2)_inf / phi(-q), since Gauss's
       phi(-q) = (q; q)_inf^2 / (q^2; q^2)_inf = (q; q^2)_inf^2 (q^2; q^2)_inf.
+      Each factor (1 - q^e) with e <= degree costs one pass.
+    * Euler: U = 1/(q; q^2)_inf = (q^2; q^2)_inf / (q; q)_inf times Euler's
+      sum for 1/(q^{r+1}; q^2)_inf, about degree^2 / (r+1) updates.
 
-    Both quotients cost O(degree^1.5) steps, then each finite factor one pass.
-    A factor (1 - q^e) with e > degree is 1 modulo q^(degree+1), so only the
-    factors up to ``degree`` are applied.  For large r it is cheaper to
-    start from 1/(q; q^2)_inf = (q^2; q^2)_inf / (q; q)_inf, also a sparse
-    quotient, and divide by (1 - q^e) for e = r+1, r+3, ... up to ``degree``.
-    A pass for e updates degree + 1 - e coefficients, and the route whose
-    passes update fewer is taken: at most (degree + 1)^2 / 8 updates,
-    whatever r is, the most near r = 0.29 * degree.
+    The route whose passes, sums and sparse quotient (one step per
+    denominator term below each coefficient) take fewer steps is taken, so
+    the passes update at most (degree + 1)^2 / 8 coefficients for any r.
     """
     _require_int(r, 1, "r")
     _require_int(degree, 0, "degree")
+    pentagonal = _pentagonal(degree)
+    quotient = _theta(degree) if r % 2 == 0 else pentagonal
     finite = range(2 if r % 2 else 1, min(r, degree + 1), 2)
-    tail = range(r + 1, degree + 1, 2)
-    if _updates(tail, degree) < _updates(finite, degree):
-        coeffs = _sparse_quotient(_pentagonal(degree, 2), _pentagonal(degree), degree)
-        for e in tail:
-            _times_inverse_one_minus(coeffs, e)
+    finite_cost = _updates(finite, degree) + _updates((e for e, _ in quotient), degree)
+    euler_cost = (
+        _updates(range(r + 3, degree + 1, r + 3), degree)
+        + _updates(range(r + 1, degree + 1, r + 1), degree)
+        + _updates((e for e, _ in pentagonal), degree)
+    )
+    if euler_cost < finite_cost:
+        terms = _euler_terms(_sparse_quotient(_pentagonal(degree, 2), pentagonal, degree), r + 1)
+        coeffs = next(terms)[1].copy()
+        for shift, term in terms:
+            for n, c in enumerate(term, shift):
+                coeffs[n] += c
         return TruncatedSeries(coeffs)
-    if r % 2:
-        coeffs = _sparse_quotient((), _pentagonal(degree), degree)
-    else:
-        coeffs = _sparse_quotient(_pentagonal(degree, 2), _theta(degree), degree)
+    numerator = () if r % 2 else _pentagonal(degree, 2)
+    coeffs = _sparse_quotient(numerator, quotient, degree)
     for e in finite:
         _times_one_minus(coeffs, e)
     return TruncatedSeries(coeffs)

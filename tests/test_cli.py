@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexpart import Check, ColoredPartition, Family, Overpartition, Partition, VerificationReport, bijections, cli
-from mexpart import families, gf_pmex, oracle
+from mexpart import DEFAULT_DEGREE, families, gf_pmex, oracle
 from mexpart import count_family, enumerate_family
 from mexpart.cli import run
 from mexpart.families import FAMILY_KINDS
@@ -230,13 +230,14 @@ def test_gf_degree_ceiling(monkeypatch):
     assert "MEX_DEFAULT_DEGREE" in err and str(cli.MAX_DEGREE) in err
 
     # the ceiling itself is accepted; a stub keeps the series small
+    # (each run asks for the head of DEFAULT_DEGREE first, then the ceiling)
     asked = []
     monkeypatch.setattr(cli, "gf_pmex", lambda r, degree: asked.append(degree) or gf_pmex(r, 0))
     monkeypatch.setenv("MEX_DEFAULT_DEGREE", str(cli.MAX_DEGREE))
     assert run(["gf", "--r", "2"]) == (0, "0\t1\n", "")
     monkeypatch.delenv("MEX_DEFAULT_DEGREE")
     assert run(["gf", "--r", "2", "--degree", str(cli.MAX_DEGREE)]) == (0, "0\t1\n", "")
-    assert asked == [cli.MAX_DEGREE, cli.MAX_DEGREE]
+    assert asked == [DEFAULT_DEGREE, cli.MAX_DEGREE, DEFAULT_DEGREE, cli.MAX_DEGREE]
 
 
 def test_gf_builtin_default_degree():
@@ -483,7 +484,9 @@ _OBAR_30 = run(["enumerate", "--family", "obar", "--n", "30", "--r", "1"])[1]  #
 )
 def test_the_first_lines_are_flushed_after_lines_1_2_4(argv, stdin):
     # Flushed after lines 1, 2, 4, ..., cli._FLUSHED of the output and never
-    # after that, and the bytes are what run() returns.
+    # after that, and the bytes are what run() returns; gf flushes once more
+    # after its head, the DEFAULT_DEGREE + 1 lines it writes before it
+    # computes the rest.
     out = FlushRecorder()
     with redirect_stdout(out):
         assert cli._execute(argv, stdin) == 0
@@ -491,7 +494,31 @@ def test_the_first_lines_are_flushed_after_lines_1_2_4(argv, stdin):
     assert (0, text, "") == run(argv, stdin)
     lines = text.splitlines(keepends=True)
     due = [1 << k for k in range(cli._FLUSHED.bit_length()) if 1 << k <= min(len(lines), cli._FLUSHED)]
+    if argv[0] == "gf" and len(lines) > DEFAULT_DEGREE + 1:
+        due = sorted(due + [DEFAULT_DEGREE + 1])
     assert out.flushed_at == [len("".join(lines[:count])) for count in due]
+
+
+@pytest.mark.parametrize("degree", [DEFAULT_DEGREE + 1, 5000])
+def test_gf_flushes_its_head_before_it_computes_the_rest(monkeypatch, degree):
+    # Lines 0..DEFAULT_DEGREE come from a series of that degree and are
+    # written and flushed before gf_pmex is called at the full degree.
+    argv = ["gf", "--r", "3", "--degree", str(degree)]
+    head = run(["gf", "--r", "3", "--degree", str(DEFAULT_DEGREE)])[1]
+    whole = run(argv)[1]
+    out = FlushRecorder()
+    seen = []
+
+    def spied(r, degree):
+        seen.append((degree, out.getvalue(), out.flushed_at[-1:]))
+        return gf_pmex(r, degree)
+
+    monkeypatch.setattr(cli, "gf_pmex", spied)
+    with redirect_stdout(out):
+        assert cli._execute(argv, None) == 0
+    assert head.count("\n") == DEFAULT_DEGREE + 1
+    assert seen == [(DEFAULT_DEGREE, "", []), (degree, head, [len(head)])]
+    assert out.getvalue() == whole
 
 
 def test_the_head_is_derived_from_the_pipe_buffer():

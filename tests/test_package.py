@@ -107,7 +107,8 @@ def test_records_compare_hash_print_and_refuse_assignment():
 def test_import_loads_neither_dataclasses_nor_heapq():
     # Every command starts a process, so what importing the package loads
     # is paid on each one: dataclasses alone brings inspect, ast, dis and
-    # tokenize, and heapq is needed only when pmex's streams are merged.
+    # tokenize, typing brings re and warnings for annotations alone, and
+    # heapq is needed only when pmex's streams are merged.
     src = str(Path(mexpart.__file__).resolve().parents[1])
     code = "import sys, mexpart, mexpart.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
@@ -119,7 +120,7 @@ def test_import_loads_neither_dataclasses_nor_heapq():
     assert "mexpart.cli" in loaded
     assert not loaded & {
         "dataclasses", "inspect", "ast", "dis", "tokenize", "heapq",
-        "argparse", "gettext", "locale", "json", "importlib.resources",
+        "argparse", "gettext", "locale", "json", "importlib.resources", "typing",
     }
 
 

@@ -158,16 +158,17 @@ class TestGfPmex:
     def test_applies_no_factor_above_the_degree(self, monkeypatch, degree):
         # (1 - q^e) with e > degree is 1 up to q^degree, so every r >= degree
         # gives the same series, and a huge r costs no more factor passes.
-        # Each r takes the cheaper route, finite factors below r or tail
-        # factors above it: at most (degree + 1)^2 / 8 coefficient updates.
+        # Each r takes the cheaper route, finite factors below r or Euler's
+        # sum: at most (degree + 1)^2 / 8 coefficient updates, a pass for e
+        # over a series of len(coeffs) coefficients updating len(coeffs) - e.
         expected = gf_pmex(degree, degree)
         bound = (degree + 1) ** 2 // 8
         calls = []
 
         def counting(apply):
             def counted(coeffs, e):
-                calls.append(e)
-                if sum(degree + 1 - done for done in calls) > bound:
+                calls.append((e, max(0, len(coeffs) - e)))
+                if sum(updates for _, updates in calls) > bound:
                     raise AssertionError(f"factor passes update more than {bound} coefficients")
                 apply(coeffs, e)
 
@@ -178,7 +179,7 @@ class TestGfPmex:
         for r in [*range(1, degree + 4), 10**12, 10**12 + 1]:
             calls.clear()
             series = qseries.gf_pmex(r, degree)
-            assert all(e <= degree for e in calls)
+            assert all(e <= degree for e, _ in calls)
             if r >= degree:
                 assert series == expected
 
@@ -216,21 +217,34 @@ class TestGfPmexMatchesTheProduct:
     def test_small(self, r, degree):
         assert gf_pmex(r, degree) == product(r, degree)
 
-    @pytest.mark.parametrize("degree", [0, 1, 2, 7, 30, 61])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7, 30, 61, 200])
     def test_both_routes_agree_with_the_product(self, monkeypatch, degree):
-        # Small r divides out the finite factors below r, large r the tail
-        # factors above it; every r up to past the degree takes one of them.
-        divide = qseries._times_inverse_one_minus
-        tail = []
+        # Three routes: the finite factors below r over the quotient by
+        # (q; q)_inf (odd r) or by phi(-q) (even r), and Euler's sum over the
+        # quotient by (q; q)_inf.  Every r up to past the degree takes one of
+        # them; from degree 7 on each is taken at some r.
+        quotient, terms = qseries._sparse_quotient, qseries._euler_terms
+        taken = []
 
-        def counted(coeffs, e):
-            tail.append(e)
-            divide(coeffs, e)
+        def spied_quotient(numerator, denominator, degree):
+            taken.append("theta" if denominator and denominator == qseries._theta(degree) else "pentagonal")
+            return quotient(numerator, denominator, degree)
 
-        monkeypatch.setattr(qseries, "_times_inverse_one_minus", counted)
+        def spied_terms(coeffs, step):
+            taken.append("euler")
+            return terms(coeffs, step)
+
+        monkeypatch.setattr(qseries, "_sparse_quotient", spied_quotient)
+        monkeypatch.setattr(qseries, "_euler_terms", spied_terms)
+        routes = set()
         for r in range(1, degree + 4):
+            taken.clear()
             assert qseries.gf_pmex(r, degree) == product(r, degree)
-        assert bool(tail) == (degree >= 7)
+            routes.add(taken[-1])
+        if degree >= 7:
+            assert routes == {"pentagonal", "theta", "euler"}
+        elif degree >= 1:
+            assert routes == {"pentagonal", "euler"}
 
     def test_calls_neither_dense_product(self, monkeypatch):
         def refuse(*args):
