@@ -224,7 +224,10 @@ INVERSE = {
 # that test, for a caller that has just made it at the same r.  A map not
 # listed, such as ``mex_forward`` (its check is the mex run it computes
 # anyway), is its own body.  The bodies take r only to be called as the maps
-# are; none reads it.
+# are; none reads it.  Keyed by the map function, not by its id, so that a
+# map replaced in ``MAPS`` (a test injecting a fault does so) has no body
+# here and is called as it stands: keyed by id, the oracle would call the
+# registered body instead, and a faulty ``oddinv`` or ``even`` would pass.
 UNCHECKED = {
     mex_inverse: _mex_inverse,
     odd_forward: _odd_forward, odd_inverse: _odd_inverse,

@@ -26,11 +26,9 @@ The ``mexpart`` command (:func:`main`) first freezes the heap its imports
 built, so that the collections at interpreter shutdown skip it.  From the
 moment the imports are done to exit, a process of ``count --family p --n 1``
 took 12.0 ms without the freeze and 4.0 ms with it, and one of ``gf --r 3
---degree 3000`` 44.8 ms and 37.1 ms.  With argparse, which built six
-subparsers and loaded gettext and locale in every process, the same spans
-took 17.0 / 7.9 ms and 50.3 / 41.0 ms, and importing this module 31.1 ms
-against 26.9 ms now (medians of 41 processes each, alternating, one CPU of
-a shared 2-CPU x86-64 host, CPython 3.11, no ``__pycache__``).  :func:`run`
+--degree 3000`` 44.8 ms and 37.1 ms; importing this module took 26.9 ms
+(medians of 41 processes each, alternating, one CPU of a shared 2-CPU
+x86-64 host, CPython 3.11, no ``__pycache__``).  :func:`run`
 does not touch the collector.
 """
 
@@ -57,12 +55,13 @@ __all__ = ["main", "run"]
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The largest degree `gf` computes, whether it comes from `--degree` or from
 # MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
-# writes about 8 MB, peaks at 21-24 MB resident and took 1.2-3.4 s for every
-# r measured.  gf_pmex takes the finite factors below r or Euler's sum,
-# whichever costs fewer steps; the costliest r, where both cost about 20M,
-# is near 315: gf_pmex(315, 50000) took 2.2-2.7 s, and r = 14645 1.7-2.3 s
-# against 31-37 s before Euler's sum (min of 3 in process, two sets, one
-# CPU of a 2-CPU shared x86-64 host, CPython 3.11).
+# writes about 8 MB, peaks at 19-24 MB resident and took 0.8-1.9 s for every
+# r measured (2, 3, 8, 201, 235, 1000, 5858, 14645, 25000 and 50000, three
+# runs each).  gf_pmex takes the finite factors below r or Euler's sum,
+# whichever costs fewer steps; the costliest r by that count, where both
+# cost about 18M, is near 235: gf_pmex(235, 50000) took 1.4-1.6 s, and the
+# odd r just below it, on the finite route, 1.7-2.0 s (min of 3 in process,
+# two sets; one CPU of a 2-CPU shared x86-64 host, CPython 3.11).
 # It is also the largest weight of an object `map` takes from obar, the one
 # domain whose maps can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of
@@ -404,7 +403,7 @@ def main() -> int:
     # module, sys.exit(0) took 9.9-13.8 ms, or 2.8-4.0 ms with this freeze
     # first (quartiles of 41 processes, one CPU of a shared 2-CPU x86-64
     # host, CPython 3.11, no __pycache__).  The first _parse then takes
-    # 0.02-0.03 ms, where argparse's first parse took 3.0-4.6 ms.
+    # 0.02-0.03 ms.
     # What the run allocates stays collectable.  Only the process entry
     # freezes; run() and importing mexpart leave the collector alone.
     gc.freeze()

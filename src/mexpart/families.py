@@ -59,7 +59,7 @@ from operator import add, itemgetter, mul, sub
 
 from .partitions import _UNBOUNDED, Partition, _Record, _descending, _require_int, _set, _tokens
 from .partitions import _colored_arguments, _colored_token, _mex_and_run, _overpartition_arguments
-from .partitions import _overpartition_token, _refuse, _run_at_least
+from .partitions import _Parts, _overpartition_token, _refuse, _run_at_least
 
 __all__ = [
     "ColoredPartition",
@@ -149,7 +149,7 @@ class Overpartition:
         return cls._trusted(tuple(overlined), tuple(plain))
 
 
-class ColoredPartition:
+class ColoredPartition(_Parts):
     """Odd parts in two colors, any size in either color; ``po2``'s bound on
     the second color is the family's, checked by :func:`is_member`."""
 
@@ -171,32 +171,9 @@ class ColoredPartition:
         ordered.sort(key=_SIZE, reverse=True)
         self.parts = tuple(ordered)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts != other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    @classmethod
-    def _trusted(cls, parts: tuple[tuple[int, int], ...]) -> "ColoredPartition":
-        """Wrap canonically ordered parts as is, skipping sort and checks."""
-        obj = object.__new__(cls)
-        obj.parts = parts
-        return obj
-
     @property
     def weight(self) -> int:
         return sum(size for size, _ in self.parts)
-
-    def __repr__(self) -> str:
-        return f"ColoredPartition({list(self.parts)!r})"
 
     def text(self) -> str:
         """Canonical textual form, e.g. ``5_2 1_1``; `-` when empty."""

@@ -89,6 +89,10 @@ def test_map_reads_iterables():
     assert out == "3_1 3_1\n3_2 3_2\n"
 
 
+def test_map_without_stdin_reads_no_lines():
+    assert run(["map", "--bijection", "t5", "--r", "1"]) == (0, "", "")
+
+
 def test_map_even_parses_colored_input():
     code, out, _ = run(["map", "--bijection", "even", "--r", "2"], "5_2 1_1\n3_1 3_2")
     assert code == 0

@@ -61,6 +61,21 @@ def test_value_types_compare_and_hash_by_their_fields():
         assert a != 1
 
 
+def test_parts_types_print_as_their_class_and_parts():
+    printed = [
+        (Partition([1, 3, 1]), "Partition([3, 1, 1])"),
+        (Partition._trusted((2,)), "Partition([2])"),
+        (Partition(), "Partition([])"),
+        (ColoredPartition([(1, 1), (5, 2), (3, 2), (3, 1)]), "ColoredPartition([(5, 2), (3, 1), (3, 2), (1, 1)])"),
+        (ColoredPartition._trusted(((3, 2),)), "ColoredPartition([(3, 2)])"),
+        (ColoredPartition(), "ColoredPartition([])"),
+    ]
+    for obj, text in printed:
+        assert repr(obj) == text
+        assert type(obj._trusted(obj.parts)) is type(obj)
+        assert obj._trusted(obj.parts) == obj
+
+
 def test_records_compare_hash_print_and_refuse_assignment():
     check = Check("c", "n=1", 3, 4)
     records = [

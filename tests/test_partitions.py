@@ -38,6 +38,12 @@ class TestPartitionType:
             with pytest.raises(ValueError):
                 Partition(bad)
 
+    def test_iterates_and_measures_its_parts(self):
+        p = Partition([1, 3, 2, 3])
+        assert list(p) == [3, 3, 2, 1]
+        assert len(p) == 4
+        assert list(Partition()) == [] and len(Partition()) == 0
+
     def test_equality_and_hash(self):
         assert Partition([2, 1]) == Partition((1, 2))
         assert hash(Partition([2, 1])) == hash(Partition([1, 2]))

@@ -58,6 +58,21 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TruncatedSeries([])
 
+    def test_repr_shows_the_degree_and_at_most_six_coefficients(self):
+        assert repr(TruncatedSeries([7])) == "TruncatedSeries(degree=0, [7])"
+        assert repr(TruncatedSeries([1, 0, 2])) == "TruncatedSeries(degree=2, [1, 0, 2])"
+        assert repr(TruncatedSeries(range(6))) == "TruncatedSeries(degree=5, [0, 1, 2, 3, 4, 5])"
+        assert repr(TruncatedSeries(range(-3, 5))) == "TruncatedSeries(degree=7, [-3, -2, -1, 0, 1, 2, ...])"
+
+    def test_refuses_assignment_and_deletion(self):
+        s = TruncatedSeries([1, 2])
+        for name in ("coeffs", "degree", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, (5,))
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert s.coeffs == (1, 2)
+
 
 class TestSeriesMul:
     def test_identity(self):
@@ -221,7 +236,7 @@ class TestGfPmexMatchesTheProduct:
     def test_both_routes_agree_with_the_product(self, monkeypatch, degree):
         # Three routes: the finite factors below r over the quotient by
         # (q; q)_inf (odd r) or by phi(-q) (even r), and Euler's sum over the
-        # quotient by (q; q)_inf.  Every r up to past the degree takes one of
+        # quotient by phi(-q).  Every r up to past the degree takes one of
         # them; from degree 7 on each is taken at some r.
         quotient, terms = qseries._sparse_quotient, qseries._euler_terms
         taken = []
