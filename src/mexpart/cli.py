@@ -56,12 +56,13 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The largest degree `gf` computes, whether it comes from `--degree` or from
 # MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
 # writes about 8 MB, peaks at 19-24 MB resident and took 0.8-1.9 s for every
-# r measured (2, 3, 8, 201, 235, 1000, 5858, 14645, 25000 and 50000, three
-# runs each).  gf_pmex takes the finite factors below r or Euler's sum,
-# whichever costs fewer steps; the costliest r by that count, where both
-# cost about 18M, is near 235: gf_pmex(235, 50000) took 1.4-1.6 s, and the
-# odd r just below it, on the finite route, 1.7-2.0 s (min of 3 in process,
-# two sets; one CPU of a 2-CPU shared x86-64 host, CPython 3.11).
+# r measured (2, 3, 8, 173, 201, 235, 1000, 5858, 14645, 25000 and 50000,
+# three runs each).  gf_pmex takes the finite factors below r or Euler's
+# sum, whichever costs less, each step weighed by its measured cost; the
+# costliest r by that weight, where the two routes cost within 0.4% of each
+# other, is 173: gf_pmex(173, 50000) took 1.7-1.9 s, and the command
+# 1.8 s (three runs each; one CPU of a 2-CPU shared x86-64 host, CPython
+# 3.11).
 # It is also the largest weight of an object `map` takes from obar, the one
 # domain whose maps can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of
@@ -75,10 +76,11 @@ MAX_DEGREE = 50_000
 # 16 MB peak, `count --family pbar --n 42` 0.08-0.09 s at 16 MB, nearly all
 # of it interpreter start (`count` reads one coefficient of the family's
 # series and builds no member; the `pmex` series to degree 42 takes
-# 0.5-0.8 ms in process, at any r), and `verify --max-n 32 --max-r 16`
-# 5.0-5.4 s at 20 MB, against 3.4-3.7 s for `--max-r 8`, the acceptance
-# size, nearly all of it the round trips (minimum and median of 5 runs,
-# each pinned to one CPU, peak resident memory read from VmHWM).
+# 0.09-0.29 ms in process, growing with r up to r = 42), and `verify
+# --max-n 32 --max-r 16` 5.0-5.4 s at 20 MB, against 3.4-3.7 s for
+# `--max-r 8`, the acceptance size, nearly all of it the round trips
+# (minimum and median of 5 runs, each pinned to one CPU, peak resident
+# memory read from VmHWM).
 # Unbounded, `verify --max-n 2 --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32
@@ -182,9 +184,20 @@ def _at_most(value: int, ceiling: int, option: str) -> int:
     return value
 
 
+def _family(command: str, args) -> Family:
+    """The family of ``--family`` and ``--r``; a kind that takes r refuses a
+    missing ``--r`` as a missing required option."""
+    try:
+        return Family(args.family, args.r)
+    except ValueError:
+        if args.r is None:
+            raise _refused(command, f"--r is required for --family {args.family}") from None
+        raise
+
+
 def _cmd_count(args, stdin) -> int:
     n = _at_most(args.n, MAX_N, "--n")
-    print(_count(Family(args.family, args.r), n))
+    print(_count(_family("count", args), n))
     return 0
 
 
@@ -192,7 +205,7 @@ def _cmd_enumerate(args, stdin) -> int:
     n = _at_most(args.n, MAX_N, "--n")
     # lazily, so the first member is printed before the last is built
     emit = _emitter(args.format)
-    for obj in _flushing(_members(Family(args.family, args.r), n)):
+    for obj in _flushing(_members(_family("enumerate", args), n)):
         emit(obj)
     return 0
 

@@ -13,23 +13,17 @@ names the command line uses:
 ==========  =============================================================
 
 Each family's rule is written once, in ``_rule``, as data: the sizes the
-walk skips (``po2``'s even sizes, ``pe``'s even sizes below r), the sizes
-it takes at most once (those that must be overlined), ``marks(s, m)``, the
-ascending range of how many of a block's m copies of size s carry a mark
-(an overline, or ``po2``'s second color), and the family's components, each
-``(must, miss)``: a member of one takes every size in ``must`` and none in
-``miss``.  ``pmex`` has one component per mex m, which must take the
-staircase 1..m-1 and miss the r sizes from m; every other kind has the one
-component ``((), ())``.  ``_members`` expands the rule into members: the
-walk is iterative, one explicit stack of (size, multiplicity) blocks,
-filled greedily and backtracked, that yields each partition as soon as it
-is complete, and each block becomes one pattern per number in ``marks``.  Each component is walked apart, its ``must`` placed
-as the blocks are flattened, and the components' streams are merged into
-canonical order.  ``_series`` counts by the same rule and builds no member
-and no pattern: each component adds q^|must| times the product over
-``miss`` of (1 - q^e), for ``pmex`` the definition's sum over the mex m of
-q^(m(m-1)/2) (q^m;q)_r, and a knapsack over the allowed sizes, each block
-weighed by ``len(marks(s, m))``, gives every weight up to a degree at once.
+walk skips or takes at most once, how many of a block's copies may carry a
+mark (an overline, or ``po2``'s second color), and the family's
+components, each ``(must, miss)``: one per mex for ``pmex``, one with
+neither for every other kind.  ``_members`` expands the rule: it walks
+each component's (size, multiplicity) blocks, renders each block as one
+pattern per number of marked copies, and merges the components' streams
+into canonical order.  ``_series`` counts by the same rule and builds no
+member and no pattern: each component adds q^|must| times the product
+over ``miss`` of (1 - q^e), and each allowed size multiplies that by its
+factor in closed form, such as (1 + q^s)/(1 - q^s), so every weight up to
+a degree comes at once.
 Every count is a coefficient of that series.  :class:`Family` holds the r
 rule and is the only holder of r: the member types carry none, so a
 ``ColoredPartition`` is any two-colored odd partition, and ``po2``'s bound
@@ -55,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import chain, groupby, repeat, starmap
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .partitions import _UNBOUNDED, Partition, _Record, _descending, _require_int, _set, _tokens
 from .partitions import _colored_arguments, _colored_token, _mex_and_run, _overpartition_arguments
@@ -325,24 +319,25 @@ def _flat(blocks, stair: tuple[int, ...]) -> tuple[int, ...]:
 def _rule(family: Family, n: int):
     """The one statement of ``family``'s rule at weight ``n``, as data that
     :func:`_members` expands and :func:`_series` counts: ``(skip, once,
-    marks, components)``.
+    most, components)``.
 
     ``skip`` and ``once`` are the sizes the walk skips and the sizes it
     takes at most once: ``po2`` skips the even sizes and ``pe`` the even
-    sizes below r.  ``marks(s, m)`` is the ascending range of how many of
-    the ``m`` parts of size ``s`` in a block carry a mark, an overline for
-    the overpartition kinds and the second color for ``po2``; each number
-    is one pattern of the block, and ascending is canonical order (plain
-    before overlined, first color before second).  The partition kinds mark
-    nothing, ``range(1)``.  The members fall into disjoint ``components``,
-    each ``(must, miss)``: a member of the component takes every size in
-    ``must`` at least once and none in ``miss``.  ``pmex`` has one component
-    per mex m with m(m-1)/2 <= ``n``, whose ``must`` is the staircase
-    1..m-1 and whose ``miss`` is the r sizes from m, up to the largest the
-    rest of ``n`` can take; every other kind has the one component ``((),
-    ())``.  Every ``must`` is such a staircase, which :func:`_flat` places.
-    Nothing here grows with r: each set of sizes is a range or bounded by
-    ``n``.
+    sizes below r, and ``obar`` takes once the sizes that are always
+    overlined.  ``most(s)`` is the most of a block's m parts of size s that
+    carry a mark, an overline for the overpartition kinds and the second
+    color for ``po2``: 0, 1, or ``_UNBOUNDED`` for all m.  The fewest is 1
+    for a size in ``once`` and 0 for any other, and each number between is
+    one pattern of the block, ascending in canonical order (plain before
+    overlined, first color before second).  The partition kinds mark none.
+    The members fall into disjoint ``components``, each ``(must, miss)``: a
+    member of the component takes every size in ``must`` at least once and
+    none in ``miss``.  ``pmex`` has one component per mex m with m(m-1)/2
+    <= ``n``, whose ``must`` is the staircase 1..m-1 and whose ``miss`` is
+    the r sizes from m, up to the largest the rest of ``n`` can take; every
+    other kind has the one component ``((), ())``.  Every ``must`` is such
+    a staircase, which :func:`_flat` places.  Nothing here grows with r:
+    each set of sizes is a range or bounded by ``n``.
     """
     kind, r = family.kind, family.r
     components = [((), ())]
@@ -357,18 +352,11 @@ def _rule(family: Family, n: int):
         # it occurs once; every other size is plain or has one copy
         # overlined.
         forced = () if kind == "pbar" else frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
-        return (), forced, lambda s, m: range(1, 2) if s in forced else range(2), components
+        return (), forced, lambda s: 1, components
     if kind == "po2":  # odd sizes only; a second color only above r
-        return range(2, n + 1, 2), (), lambda s, m: range(m + 1 if s > r else 1), components
+        return range(2, n + 1, 2), (), lambda s: _UNBOUNDED if s > r else 0, components
     skip = range(2, min(r, n + 1), 2) if kind == "pe" else ()  # pe: no even size below r
-    return skip, (), lambda s, m: range(1), components
-
-
-def _blocks(n: int, skip, once) -> Iterator[tuple[int, range]]:
-    """Each size the rule allows up to ``n``, with its multiplicities."""
-    for s in range(1, n + 1):
-        if s not in skip:
-            yield s, range(1, (1 if s in once else n // s) + 1)
+    return skip, (), lambda s: 0, components
 
 
 # One pattern of a block: ``m`` parts of size ``s`` with ``c`` of them
@@ -410,7 +398,7 @@ def _members(family: Family, n: int) -> Iterator:
     :func:`_merged`.  The marked kinds have the one component ``((), ())``.
     """
     _require_int(n, 0, "weight")
-    skip, once, marks, components = _rule(family, n)
+    skip, once, most, components = _rule(family, n)
     cls = MEMBER_TYPES[family.kind]
     if cls is Partition:
         streams = [
@@ -420,7 +408,8 @@ def _members(family: Family, n: int) -> Iterator:
         return map(Partition._trusted, streams[0] if len(streams) == 1 else _merged(streams))
     pattern = _PATTERN[cls]
     patterns = {
-        (s, m): [pattern(s, m, c) for c in marks(s, m)] for s, mults in _blocks(n, skip, once) for m in mults
+        (s, m): [pattern(s, m, c) for c in range(s in once, min(most(s), m) + 1)]
+        for s in range(1, n + 1) if s not in skip for m in range(1, (1 if s in once else n // s) + 1)
     }
     return _fan_out(_walk(n, skip, once), patterns, cls)
 
@@ -446,13 +435,13 @@ def _series(family: Family, degree: int) -> list[int]:
     product over ``miss`` of (1 - q^e): a member has every size in ``must``
     and none in ``miss``.  For ``pmex`` that is its definition's sum over
     the mex m of q^(m(m-1)/2) (q^m;q)_r, only the factors with e <=
-    ``degree`` applied, so the cost does not grow with r.  A knapsack over
-    the sizes the rule allows multiplies the sum by sum_m len(marks(s, m))
-    q^(s m) for each size s, with m <= 1 for the sizes taken at most once,
-    and so adds every other copy.  Each size's factor is applied in place,
-    from the top coefficient down.
+    ``degree`` applied, so the cost does not grow with r.  Each size s the
+    rule allows then multiplies the sum by its blocks' patterns, in closed
+    form (Andrews, *The Theory of Partitions*, ch. 1): 1 + q^s, one step,
+    for a size in ``once``, and for any other one pass in place per factor
+    1/(1 - q^s), times 1 + q^s when ``most`` is 1 or 1/(1 - q^s) when all.
     """
-    skip, once, marks, components = _rule(family, degree)
+    skip, once, most, components = _rule(family, degree)
     series = [0] * (degree + 1)
     for must, miss in components:
         low = sum(must)
@@ -460,10 +449,15 @@ def _series(family: Family, degree: int) -> list[int]:
         for e in miss:
             term[e:] = map(sub, term[e:], term[:-e])
         series[low:] = map(add, series[low:], term)
-    for s, mults in _blocks(degree, skip, once):
-        weights = [len(marks(s, m)) for m in mults]
-        for n in range(degree, s - 1, -1):
-            series[n] += sum(map(mul, weights, series[n - s::-s]))
+    for s in range(1, degree + 1):
+        if s in skip:
+            continue
+        marked = most(s)
+        if marked == 1:
+            series[s:] = map(add, series[s:], series[:-s])
+        for _ in range(0 if s in once else 2 if marked > 1 else 1):
+            for n in range(s, degree + 1):
+                series[n] += series[n - s]
     return series
 
 

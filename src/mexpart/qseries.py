@@ -226,19 +226,26 @@ def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
       has about 1.63 sqrt(degree).
 
     The route whose passes, sums and sparse quotient (one step per
-    denominator term below each coefficient) take fewer steps is taken, so
-    the passes update at most (degree + 1)^2 / 8 coefficients for any r.
+    denominator term below each coefficient) cost less is taken, each step
+    weighed by its measured cost, so the passes update O(degree^1.5)
+    coefficients for any r.
     """
     _require_int(r, 1, "r")
     _require_int(degree, 0, "degree")
     pentagonal, theta = _pentagonal(degree), _theta(degree)
     quotient = theta if r % 2 == 0 else pentagonal
     finite = range(2 if r % 2 else 1, min(r, degree + 1), 2)
-    finite_cost = _updates(finite, degree) + _updates((e for e, _ in quotient), degree)
-    euler_cost = (
-        _updates(range(r + 3, degree + 1, r + 3), degree)
-        + _updates(range(r + 1, degree + 1, r + 1), degree)
-        + _updates((e for e, _ in theta), degree)
+    # Each step weighed by its measured cost (degree 50000, min of 3): a
+    # sparse-quotient step costs 3/2 of a pass or sum step (125-138 ns
+    # against 81-93 on the finite route, 105-117 against 71-78 on Euler's),
+    # and a finite-route step 9/8 of one of Euler's, whose coefficients, U's,
+    # have about 1/sqrt(2) as many digits.  The routes then cross where
+    # timing both puts it, near r = 171 for odd r and r = 276 for even r.
+    finite_cost = 9 * (2 * _updates(finite, degree) + 3 * _updates((e for e, _ in quotient), degree))
+    euler_cost = 8 * (
+        2 * _updates(range(r + 3, degree + 1, r + 3), degree)
+        + 2 * _updates(range(r + 1, degree + 1, r + 1), degree)
+        + 3 * _updates((e for e, _ in theta), degree)
     )
     if euler_cost < finite_cost:
         terms = _euler_terms(_sparse_quotient(pentagonal, theta, degree), r + 1)

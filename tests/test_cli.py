@@ -320,6 +320,14 @@ def test_usage_errors_exit_two(argv, named):
         assert usage.startswith("usage: mexpart ")
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("kind", ["pmex", "obar", "pe", "po2"])
+def test_a_family_that_takes_r_names_a_missing_r(command, kind):
+    code, out, err = run([command, "--family", kind, "--n", "4"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: --r is required for --family {kind}", f"usage: {cli._usage(command)}"]
+
+
 def _choices(command, option):
     return cli._COMMANDS[command][2][option][2]
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import product
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from mexpart import (
 from mexpart import TruncatedSeries, gf_pmex, poch_distinct, poch_inv, series_mul
 from mexpart.cli import MAX_N
 from mexpart.families import FAMILY_KINDS, MEMBER_TYPES, _count, _rule, _series, _walk
+from mexpart.partitions import _UNBOUNDED
 
 overpartitions = st.builds(
     Overpartition,
@@ -501,6 +503,35 @@ class TestBlockCount:
                 assert series == list(identity[family.r].coeffs), family
 
 
+def marks(once, most, s, m):
+    """The numbers of marked copies in the patterns of a block of ``m``
+    parts of size ``s``, ascending, from the rule's ``once`` and ``most``:
+    from 1 for a size taken once, else from 0, to min(most(s), m)."""
+    return range(1 if s in once else 0, min(most(s), m) + 1)
+
+
+def knapsack_series(family, degree):
+    """``_series`` by the block-weighted knapsack: from the top coefficient
+    down, each adds every block of m copies of an allowed size s below it,
+    weighed by the block's number of patterns.  O(degree^2 log degree)
+    steps, against one or two passes per size in ``_series``."""
+    skip, once, most, components = _rule(family, degree)
+    series = [0] * (degree + 1)
+    for must, miss in components:
+        low = sum(must)
+        term = [1] + [0] * (degree - low)
+        for e in miss:
+            term[e:] = map(sub, term[e:], term[:-e])
+        series[low:] = map(add, series[low:], term)
+    for s in range(1, degree + 1):
+        if s not in skip:
+            mults = range(1, (1 if s in once else degree // s) + 1)
+            weights = [len(marks(once, most, s, m)) for m in mults]
+            for n in range(degree, s - 1, -1):
+                series[n] += sum(map(mul, weights, series[n - s :: -s]))
+    return series
+
+
 def one_block_objects(cls, s, m):
     """Every object of type ``cls`` made of ``m`` parts of size ``s``, as
     (number of marked copies, object) pairs, by the public constructors."""
@@ -516,21 +547,29 @@ def one_block_objects(cls, s, m):
 class TestRuleData:
     @pytest.mark.parametrize("family", _families_up_to(7), ids=repr)
     def test_count_is_the_number_of_patterns(self, family):
-        # A block's weight in the series, len(marks(s, m)), is the number of
-        # its patterns: the one-block objects that is_member accepts are
-        # exactly those whose number of marked copies is in marks(s, m),
-        # ascending, and there are none for a skipped size, for two or more
-        # copies of a size taken once, or for a block that no component
-        # takes: one whose must holds another size, or whose miss holds s.
+        # A block's patterns, the numbers of marked copies in marks(once,
+        # most, s, m), are exactly the one-block objects that is_member
+        # accepts, ascending, and there are none for a skipped size, for two
+        # or more copies of a size taken once, or for a block that no
+        # component takes: one whose must holds another size, or whose miss
+        # holds s.  most(s) is 0, 1 or unbounded, the three shapes whose
+        # factors _series applies in closed form.
         n = 24
-        skip, once, marks, components = _rule(family, n)
+        skip, once, most, components = _rule(family, n)
         cls = MEMBER_TYPES[family.kind]
         for s in range(1, n + 1):
+            assert most(s) in (0, 1, _UNBOUNDED), s
             for m in range(1, n // s + 1):
                 accepted = [c for c, x in one_block_objects(cls, s, m) if is_member(family, x)]
                 allowed = s not in skip and (m == 1 or s not in once)
                 allowed = allowed and any(set(must) <= {s} and s not in miss for must, miss in components)
-                assert accepted == (list(marks(s, m)) if allowed else []), (s, m)
+                assert accepted == (list(marks(once, most, s, m)) if allowed else []), (s, m)
+
+    def test_series_equals_the_knapsack_to_degree_400(self):
+        # Each size's closed-form factor against the block-weighted sum it
+        # replaced, for every family at every r <= 17 it accepts.
+        for family in _families_up_to(17):
+            assert _series(family, 400) == knapsack_series(family, 400), family
 
     def test_series_builds_no_pattern(self):
         # Every pattern of po2 up to weight 300 takes 5.8 MiB, so counting
