@@ -48,6 +48,7 @@ from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
 from .families import FAMILY_KINDS, MEMBER_TYPES, Family
 from .families import _count, _members
+from .partitions import _printed_integer
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
 __all__ = ["main", "run"]
@@ -63,11 +64,11 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # other, is 173: gf_pmex(173, 50000) took 1.7-1.9 s, and the command
 # 1.8 s (three runs each; one CPU of a 2-CPU shared x86-64 host, CPython
 # 3.11).
-# It is also the largest weight of an object `map` takes from obar, the one
-# domain whose maps can build an image far larger than their input: at
+# It is also the largest weight of an object `map` takes, whatever the map.
+# The maps from obar can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of
 # output, about a 100 MB peak).  At the limit a map writes at most about
-# 130 kB and peaks at about 21 MB.
+# 130 kB and peaks at about 21 MB.  The check costs about 0.2 us a line.
 MAX_DEGREE = 50_000
 # The largest --n of `count` and `enumerate`, and the largest --max-n and
 # --max-r of `verify`; above them the command exits 2.  A family grows about
@@ -108,15 +109,12 @@ _PARSERS = {map_id: MEMBER_TYPES[kind].from_text for map_id, kind in DOMAIN.item
 
 def _integer(text: str) -> int:
     """The type of every integer option: ``text`` iff it is how Python
-    prints ``int(text)``, so ASCII digits with no leading zero or ``+``.
-    Negative values pass here so that the range checks can name them."""
-    try:
-        value = int(text)
-        if str(value) == text:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"must be an integer in ASCII digits without a leading zero, got {text!r}")
+    prints ``int(text)`` (``partitions._printed_integer``).  Negative values
+    pass here so that the range checks can name them."""
+    value = _printed_integer(text)
+    if value is None:
+        raise ValueError(f"must be an integer in ASCII digits without a leading zero, got {text!r}")
+    return value
 
 
 def _emitter(fmt: str):
@@ -219,15 +217,12 @@ def _cmd_map(args, stdin) -> int:
     parse = _PARSERS[args.bijection]
     emit = _emitter(args.format)
     r = args.r
-    # Only the maps from obar can build an image larger than their input.
-    bounded = DOMAIN[args.bijection] == "obar"
     for lineno, line in enumerate(_flushing(_iter_lines(stdin)), start=1):
         if not line or line.isspace():  # a blank line; the parser strips the rest
             continue
         try:
             obj = parse(line)
-            if bounded:
-                _at_most(obj.weight, MAX_DEGREE, "the weight of an input object")
+            _at_most(obj.weight, MAX_DEGREE, "the weight of an input object")
             image = apply_map(obj, r)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc

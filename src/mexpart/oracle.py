@@ -3,16 +3,19 @@
 ``verify_counts`` checks the four-way count identity (family sizes, read
 off each family's own series, against the generating-function
 coefficients), ``verify_roundtrips`` exhaustively round-trips every
-bijection, a map and its inverse together, so that on a passing run each
-map is called once per object, and ``reproduce_table`` recomputes the six
-reference pairing tables that are stored as golden files under
-``mexpart/golden/``.
+bijection, each direction of a pair through one pass, the inverse's pass
+starting from the pairs the forward pass verified, so that on a passing
+run each map is called once per object, and ``reproduce_table``
+recomputes the six reference pairing tables that are stored as golden
+files under ``mexpart/golden/``.
 Failures accumulate in the report instead of aborting, so one run surfaces
 every discrepancy.
 
-Bijections are named here only by id: their maps, inverses and domains come
-from the registry in :mod:`mexpart.bijections`, so a map added there is
-round-tripped here without further code.
+Bijections and families are named here only through the registry in
+:mod:`mexpart.bijections`: the pairs that apply at each r, and so the
+families whose counts are compared, come from ``MAPS``, ``INVERSE`` and
+``map_families`` (:func:`_pairs`), so a map added there is round-tripped
+and its families counted here without further code.
 """
 
 from __future__ import annotations
@@ -72,119 +75,107 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
     """Compare family counts with the series oracle for every (n, r).
 
     For each 0 <= n <= max_n and 1 <= r <= max_r the ``pmex`` count must
-    equal the generating-function coefficient and the count of every other
-    family that accepts r: ``obar``, plus ``pe`` for odd r or ``po2`` for
-    even r.  Every family's counts for every n come from one series per
-    (family, r), read off its rule (``families._series``), which for
-    ``pmex`` is a sum over the mex, computed apart from ``gf_pmex``'s
-    product.  No member object is built and no partition is walked.
+    equal the generating-function coefficient, and the count of every other
+    family that a bijection joins at r (:func:`_pairs`) must equal the
+    ``pmex`` count: ``obar``, then ``pe`` for odd r or ``po2`` for even r.
+    Every family's counts for every n come from one series per (family, r),
+    read off its rule (``families._series``), which for ``pmex`` is a sum
+    over the mex, computed apart from ``gf_pmex``'s product.  No member
+    object is built and no partition is walked.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
-    series = {r: gf_pmex(r, max_n) for r in range(1, max_r + 1)}
-    counted = {
-        r: [(family, _series(family, max_n)) for family in _families_accepting(r, ("pmex", "obar", "pe", "po2"))]
-        for r in range(1, max_r + 1)
-    }
+    compared = {}  # r -> (check name, expected counts, actual counts) per check
+    for r in range(1, max_r + 1):
+        joined = {family.kind: family for _, *pair in _pairs(r) for family in pair}
+        pmex = _series(joined.pop("pmex"), max_n)
+        compared[r] = [("pmex count = series coefficient", gf_pmex(r, max_n).coeffs, pmex)] + [
+            (f"{kind} count = pmex count", pmex, _series(family, max_n)) for kind, family in joined.items()
+        ]
     checks = []
     for n in range(max_n + 1):
         for r in range(1, max_r + 1):
             params = f"n={n} r={r}"
-            (_, pmex), *others = counted[r]
-            checks.append(Check("pmex count = series coefficient", params, series[r][n], pmex[n]))
-            for family, counts in others:
-                checks.append(Check(f"{family.kind} count = pmex count", params, pmex[n], counts[n]))
+            for name, expected, actual in compared[r]:
+                checks.append(Check(name, params, expected[n], actual[n]))
     return VerificationReport(tuple(checks))
 
 
-def _families_accepting(r: int, kinds) -> list[Family]:
-    """The families of ``kinds`` that accept ``r``, in the order given."""
-    families = []
-    for kind in kinds:
-        try:
-            families.append(Family(kind, r))
-        except ValueError:
+def _pairs(r: int) -> list[tuple[str, Family, Family]]:
+    """(id, domain, codomain) of every forward map that applies at ``r``, in
+    registry order: a map is a forward map unless its inverse comes before
+    it in ``MAPS``, and it applies when its families accept r."""
+    pairs, seen = [], set()
+    for map_id in MAPS:
+        if INVERSE[map_id] in seen:
             continue
-    return families
+        seen.add(map_id)
+        try:
+            pairs.append((map_id, *map_families(map_id, r)))
+        except ValueError:
+            pass
+    return pairs
 
 
 def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
     """Round-trip every applicable bijection over every object at each (n, r).
 
-    A map applies at r when its domain and codomain families accept r.  The
-    maps run by pair, a map and then its inverse, in registry order; each
-    codomain is enumerated once per (n, r) and each pair's domain once per
-    pair.  Each map is a pure function of (object, r), so the inverse pass
-    does not repeat the forward pass: see :func:`_roundtrip_pair`.  The
-    report is check for check the one that two separate passes, one per
-    map, would give.
+    The maps run by pair (:func:`_pairs`), a forward map and then its
+    inverse, each direction through :func:`_round_trip`.  Each codomain is
+    enumerated once per (n, r) and each pair's domain once per pair.  The
+    inverse pass starts from the pairs the forward pass verified, so on a
+    passing run each map is called once per object; the report is check for
+    check the one that two separate passes, one per map, would give.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
-    forward_ids = []
-    for map_id in MAPS:
-        if INVERSE[map_id] not in forward_ids:
-            forward_ids.append(map_id)
     checks = []
     for n in range(max_n + 1):
         for r in range(1, max_r + 1):
             params = f"n={n} r={r}"
             codomains = {}
-            for map_id in forward_ids:
-                try:
-                    domain, codomain = map_families(map_id, r)
-                except ValueError:
-                    continue
-                _roundtrip_pair(checks, map_id, params, n, r, domain, codomain, codomains)
+            for map_id, domain, codomain in _pairs(r):
+                if codomain not in codomains:
+                    codomains[codomain] = enumerate_family(codomain, n)
+                verified = _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, {})
+                _round_trip(checks, params, INVERSE[map_id], codomains[codomain], domain, r, verified)
+                del verified  # drop the pair's objects before the next domain is enumerated
     return VerificationReport(tuple(checks))
 
 
-def _roundtrip_pair(checks, map_id, params, n, r, domain, codomain, codomains):
-    """Append the two checks of map ``map_id`` and then the two of its inverse.
+def _round_trip(checks, params, map_id, sources, codomain, r, known) -> dict:
+    """Append the two checks of map ``map_id`` over ``sources`` and return
+    its verified pairs, each image mapped to its source.
 
-    The forward pass maps each source ``a`` with the checked map, tests the
-    image with ``is_member`` and calls the inverse unchecked
-    (``UNCHECKED``) on it.  When the inverse returns ``a``, the image ``b``
-    is a member of the codomain with ``inverse(b) == a`` and
-    ``forward(a) == b``, so the inverse pass has only
-    ``is_member(domain, a)`` left to test for that ``b``; every other ``b``
-    takes the full round trip.  ``codomains`` holds each codomain's members
-    for the (n, r); the domain's members and the index of verified pairs
-    are dropped with this call.
+    Each source ``a`` not in ``known`` is mapped with the checked map, its
+    image ``b`` is tested with ``is_member`` and the inverse is called
+    unchecked (``UNCHECKED``) on it: the pair is verified when the inverse
+    returns ``a``.  ``known`` holds the pairs the inverse's own pass
+    verified, each source mapped to its image, so for a source in it both
+    maps are already known to send one to the other, and only
+    ``is_member(codomain, b)`` is left to test.
     """
-    sources = enumerate_family(domain, n)
-    if codomain not in codomains:
-        codomains[codomain] = enumerate_family(codomain, n)
-    targets = codomains[codomain]
     forward, inverse = MAPS[map_id], MAPS[INVERSE[map_id]]
-    unchecked_forward, unchecked_inverse = UNCHECKED.get(forward, forward), UNCHECKED.get(inverse, inverse)
-    verified = dict.fromkeys(targets)  # image -> its source, once the pair is verified
+    inverse = UNCHECKED.get(inverse, inverse)
+    verified = {}
     bad_image = bad_identity = 0
     for a in sources:
-        b = forward(a, r)
+        b = known.get(a)
+        full = b is None
+        if full:
+            b = forward(a, r)
         if not is_member(codomain, b):
             # the inverse is not defined there; it cannot return the source
             bad_image += 1
             bad_identity += 1
-        elif unchecked_inverse(b, r) != a:
-            bad_identity += 1
-        else:
-            verified[b] = a
+        elif full:
+            if inverse(b, r) == a:
+                verified[b] = a
+            else:
+                bad_identity += 1
     checks.append(Check(f"{map_id}: images in codomain", params, 0, bad_image))
     checks.append(Check(f"{map_id}: inverse returns source", params, 0, bad_identity))
-    bad_image = bad_identity = 0
-    for b in targets:
-        a = verified[b]
-        full = a is None
-        if full:
-            a = inverse(b, r)
-        if not is_member(domain, a):
-            bad_image += 1
-            bad_identity += 1
-        elif full and unchecked_forward(a, r) != b:
-            bad_identity += 1
-    checks.append(Check(f"{INVERSE[map_id]}: images in codomain", params, 0, bad_image))
-    checks.append(Check(f"{INVERSE[map_id]}: inverse returns source", params, 0, bad_identity))
+    return verified
 
 
 def _distinct_partitions(n: int):

@@ -159,14 +159,22 @@ TOKEN_MEMO_SIZE = 1024
 _UNBOUNDED = float("inf")
 
 
-def _printed_size(token: str) -> int | None:
-    """The positive integer that prints as ``token``, or None: ASCII digits
-    without a leading zero, no sign, no ``_``, no space."""
+def _printed_integer(text: str) -> int | None:
+    """The integer that prints as ``text``, or None: ASCII digits without a
+    leading zero, an optional ``-``, no ``+``, no ``_``, no space.  Every
+    integer read as text, a part here or an option of the command line,
+    follows this rule."""
     try:
-        size = int(token)
+        value = int(text)
     except ValueError:
         return None
-    return size if size > 0 and str(size) == token else None
+    return value if str(value) == text else None
+
+
+def _printed_size(token: str) -> int | None:
+    """The positive integer that prints as ``token``, or None."""
+    size = _printed_integer(token)
+    return size if size is not None and size > 0 else None
 
 
 @lru_cache(maxsize=TOKEN_MEMO_SIZE)

@@ -21,6 +21,7 @@ product the direct way, in O(degree^2), and serve as its test oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import add
 
 from .partitions import _Record, _require_int, _set
 
@@ -251,8 +252,7 @@ def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
         terms = _euler_terms(_sparse_quotient(pentagonal, theta, degree), r + 1)
         coeffs = next(terms)[1].copy()
         for shift, term in terms:
-            for n, c in enumerate(term, shift):
-                coeffs[n] += c
+            coeffs[shift:] = map(add, coeffs[shift:], term)
         return TruncatedSeries(coeffs)
     numerator = () if r % 2 else _pentagonal(degree, 2)
     coeffs = _sparse_quotient(numerator, quotient, degree)

@@ -694,6 +694,24 @@ def test_map_bounds_the_weight_of_an_object_from_obar(bijection, r):
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", refused.replace("line 2", "line 1"))
 
 
+@pytest.mark.parametrize("bijection,r,at_limit,over_limit", [
+    ("t5", 1, "50000", "50001"),
+    ("odd", 1, "50000", "50001"),
+    ("even", 2, "49999_1 1_1", "50001_1"),
+])
+def test_map_bounds_the_weight_of_every_input(bijection, r, at_limit, over_limit):
+    # The forward maps take the same ceiling as the maps from obar.
+    argv = ["map", "--bijection", bijection, "--r", str(r)]
+    limit = cli.MAX_DEGREE
+    assert cli._PARSERS[bijection](at_limit).weight == limit
+    assert cli._PARSERS[bijection](over_limit).weight == limit + 1
+    code, out, err = run(argv, f"{at_limit}\n")
+    assert (code, err) == (0, "")
+    assert cli._PARSERS[bijections.INVERSE[bijection]](out).weight == limit
+    refused = f"error: line 2: the weight of an input object must be at most {limit}, got {limit + 1}\n"
+    assert run(argv, f"{at_limit}\n{over_limit}\n") == (2, out, refused)
+
+
 def test_count_and_verify_counts_build_no_member(monkeypatch):
     # They count by the families' block rule, so no generator of members
     # and no member constructor may run.
