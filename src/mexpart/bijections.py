@@ -10,22 +10,28 @@ Three forward/inverse pairs, all landing in the ``obar`` overpartitions
 * ``even_forward`` / ``even_inverse``: from two-colored odd partitions
   with an even r (the ``po2`` family).  Ids ``even`` / ``eveninv``.
 
-The registry at the end of this module (``MAPS``, ``INVERSE``,
-``UNCHECKED``, ``DOMAIN`` and ``map_families``) is the one place where a
-bijection's id, inverse and domain are written down; the command line, the
-oracle and the reference tables all read it.  A map's r rule is that of its domain and codomain
-:class:`Family`, so no map checks the parity of r itself.
+The registry at the end of this module is the one place where a
+bijection is written down: ``_PAIRS`` lists each pair once, forward map
+first, each map as its id, the kind of its domain family and the function,
+and ``MAPS``, ``INVERSE`` and ``DOMAIN`` are read off it.  The command line,
+the oracle and the reference tables all read those, and
+:func:`map_families` gives a map's two families at r.  A map's r rule is
+that of its domain and codomain :class:`Family`, so no map checks the
+parity of r itself.
 
 Each map checks its input once, on entry, and builds its image with the
 private ``_trusted`` constructors: the image is canonical by construction,
 so the public constructors' sorting and checks would only repeat work.
-A map whose check is a membership test is that test followed by a private
-body, which ``UNCHECKED`` gives for callers that have already made it.
+A map whose check is the membership test of its domain is written once,
+as its body under ``@_checked(id)``, which puts the test in front of the
+body and records the bare body in ``UNCHECKED`` for callers that have
+already made it.  ``mex_forward`` checks its input itself, since its check
+is the mex run that its body needs anyway.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .families import _SIZE, ColoredPartition, Family, Overpartition, is_member
 from .partitions import (
@@ -61,12 +67,34 @@ class SigmaDecomposition(_Record):
         _set(self, "r", r)
 
 
-def _check_domain(map_id: str, obj, r: int) -> None:
-    """Reject an ``r`` that the map's families refuse and an ``obj`` outside
-    its domain."""
-    domain, _ = _families(map_id, _require_int(r, 1, "r"))
-    if not is_member(domain, obj):
-        raise _outside(domain, obj)
+# The body of each map whose check is a membership test: the map without
+# that test, for a caller that has just made it at the same r.  A map not
+# listed, such as ``mex_forward`` (its check is the mex run it computes
+# anyway), is its own body.  The bodies take r only to be called as the maps
+# are; none reads it.  Keyed by the map function, not by its id, so that a
+# map replaced in ``MAPS`` (a test injecting a fault does so) has no body
+# here and is called as it stands: keyed by id, the oracle would call the
+# registered body instead, and a faulty ``oddinv`` or ``even`` would pass.
+UNCHECKED = {}
+
+
+def _checked(map_id: str):
+    """Decorator: map ``map_id`` as the decorated body behind its check,
+    which refuses an ``r`` that the map's families refuse and an object
+    outside its domain.  The body is recorded in ``UNCHECKED``."""
+
+    def decorate(body):
+        @wraps(body)
+        def checked(obj, r: int):
+            domain, _ = _families(map_id, _require_int(r, 1, "r"))
+            if not is_member(domain, obj):
+                raise _outside(domain, obj)
+            return body(obj, r)
+
+        UNCHECKED[checked] = body
+        return checked
+
+    return decorate
 
 
 def _outside(domain: Family, obj) -> ValueError:
@@ -142,103 +170,66 @@ def mex_forward(kappa: Partition, r: int) -> Overpartition:
     return Overpartition._trusted(_conjugate(sigma), delta)
 
 
+@_checked("t5inv")
 def mex_inverse(op: Overpartition, r: int) -> Partition:
     """Map an ``obar`` overpartition back: conjugate the overlined parts and
     add the plain parts part-wise."""
-    _check_domain("t5inv", op, r)
-    return _mex_inverse(op, r)
-
-
-def _mex_inverse(op: Overpartition, r: int) -> Partition:
     return Partition._trusted(_oplus(_conjugate(op.overlined), op.plain))
 
 
+@_checked("odd")
 def odd_forward(p: Partition, r: int) -> Overpartition:
     """Map a ``pe`` partition (odd r): merge the odd parts into distinct
     overlined ones, keep the even parts plain."""
-    _check_domain("odd", p, r)
-    return _odd_forward(p, r)
-
-
-def _odd_forward(p: Partition, r: int) -> Overpartition:
     overlined = _merge([x for x in p.parts if x % 2 == 1])
     plain = [x for x in p.parts if x % 2 == 0]
     return Overpartition._trusted(tuple(overlined), tuple(plain))
 
 
+@_checked("oddinv")
 def odd_inverse(op: Overpartition, r: int) -> Partition:
     """Inverse of :func:`odd_forward`: split the overlined parts into odd
     ones and take the union with the plain parts."""
-    _check_domain("oddinv", op, r)
-    return _odd_inverse(op, r)
-
-
-def _odd_inverse(op: Overpartition, r: int) -> Partition:
     parts = _split(op.overlined)
     parts += op.plain
     parts.sort(reverse=True)
     return Partition._trusted(tuple(parts))
 
 
+@_checked("even")
 def even_forward(colored: ColoredPartition, r: int) -> Overpartition:
     """Map a ``po2`` colored partition (even r): merge the first-color sizes
     into distinct overlined parts, keep the second-color sizes plain."""
-    _check_domain("even", colored, r)
-    return _even_forward(colored, r)
-
-
-def _even_forward(colored: ColoredPartition, r: int) -> Overpartition:
     overlined = _merge([size for size, color in colored.parts if color == 1])
     plain = [size for size, color in colored.parts if color == 2]
     return Overpartition._trusted(tuple(overlined), tuple(plain))
 
 
+@_checked("eveninv")
 def even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     """Inverse of :func:`even_forward`: split the overlined parts into odd
     first-color sizes and give the plain parts the second color."""
-    _check_domain("eveninv", op, r)
-    return _even_inverse(op, r)
-
-
-def _even_inverse(op: Overpartition, r: int) -> ColoredPartition:
     parts = [(s, 1) for s in _split(op.overlined)] + [(s, 2) for s in op.plain]
     # Stable, so each size keeps its first-color copies ahead of the second.
     parts.sort(key=_SIZE, reverse=True)
     return ColoredPartition._trusted(tuple(parts))
 
 
-# The registry.  Callers look a map up here when they call it, never keep
-# their own copy, so one entry serves the command line, the oracle and the
-# tables alike.
-MAPS = {
-    "t5": mex_forward, "t5inv": mex_inverse,
-    "odd": odd_forward, "oddinv": odd_inverse,
-    "even": even_forward, "eveninv": even_inverse,
-}
-INVERSE = {
-    "t5": "t5inv", "t5inv": "t5",
-    "odd": "oddinv", "oddinv": "odd",
-    "even": "eveninv", "eveninv": "even",
-}
-# The body of each map whose check is a membership test: the map without
-# that test, for a caller that has just made it at the same r.  A map not
-# listed, such as ``mex_forward`` (its check is the mex run it computes
-# anyway), is its own body.  The bodies take r only to be called as the maps
-# are; none reads it.  Keyed by the map function, not by its id, so that a
-# map replaced in ``MAPS`` (a test injecting a fault does so) has no body
-# here and is called as it stands: keyed by id, the oracle would call the
-# registered body instead, and a faulty ``oddinv`` or ``even`` would pass.
-UNCHECKED = {
-    mex_inverse: _mex_inverse,
-    odd_forward: _odd_forward, odd_inverse: _odd_inverse,
-    even_forward: _even_forward, even_inverse: _even_inverse,
-}
-# Family kind of each map's domain; its codomain is the domain of its inverse.
-DOMAIN = {
-    "t5": "pmex", "t5inv": "obar",
-    "odd": "pe", "oddinv": "obar",
-    "even": "po2", "eveninv": "obar",
-}
+# The registry: each pair, forward map first, as (id, kind of the domain
+# family, map) per direction.  A map's codomain is the domain of its inverse.
+# ``MAPS``, ``INVERSE`` and ``DOMAIN`` are read off this table, in its order.
+# Callers call a map only through ``MAPS``, never through this table or a
+# copy of their own, so one entry serves the command line, the oracle and the
+# tables alike, and a map replaced there (a tracer or a test injecting a
+# fault does so) is the map every caller runs.
+_PAIRS = (
+    (("t5", "pmex", mex_forward), ("t5inv", "obar", mex_inverse)),
+    (("odd", "pe", odd_forward), ("oddinv", "obar", odd_inverse)),
+    (("even", "po2", even_forward), ("eveninv", "obar", even_inverse)),
+)
+MAPS = {map_id: fn for pair in _PAIRS for map_id, _, fn in pair}
+INVERSE = {a: b for (forward, _, _), (inverse, _, _) in _PAIRS for a, b in ((forward, inverse), (inverse, forward))}
+DOMAIN = {map_id: kind for pair in _PAIRS for map_id, kind, _ in pair}
 
 
 def map_families(map_id: str, r: int) -> tuple[Family, Family]:

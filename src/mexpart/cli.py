@@ -40,6 +40,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import chain, islice
 from types import SimpleNamespace
 
@@ -70,6 +71,10 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # output, about a 100 MB peak).  At the limit a map writes at most about
 # 130 kB and peaks at about 21 MB.  The check costs about 0.2 us a line.
 MAX_DEGREE = 50_000
+# The most characters of a `map` input line before its newline: the longest
+# canonical line of weight MAX_DEGREE, MAX_DEGREE copies of `1_1`.  A longer
+# line is refused before it is held whole.
+MAX_LINE = 4 * MAX_DEGREE - 1
 # The largest --n of `count` and `enumerate`, and the largest --max-n and
 # --max-r of `verify`; above them the command exits 2.  A family grows about
 # 1.25-fold per unit of n, `pbar` the fastest.  At the ceilings (2-CPU shared
@@ -150,14 +155,18 @@ def _flushing(items: Iterable) -> Iterator:
 
 
 def _iter_lines(stdin) -> Iterable[str]:
-    """The lines of ``stdin``, each with its newline if it has one.  A string
-    splits only at line feeds, as ``sys.stdin`` does, so ``run`` and the
-    ``mexpart`` command see the same lines."""
+    """The lines of ``stdin``, each with its newline if it has one, and cut
+    after MAX_LINE + 1 characters.  A string splits only at line feeds, as
+    ``sys.stdin`` does, so ``run`` and the ``mexpart`` command see the same
+    lines."""
     if stdin is None:
         return ()
     if isinstance(stdin, str):
-        return io.StringIO(stdin)
-    return stdin
+        stdin = io.StringIO(stdin)
+    readline = getattr(stdin, "readline", None)
+    if readline is None:
+        return stdin
+    return iter(partial(readline, MAX_LINE + 1), "")
 
 
 def _default_degree() -> int:
@@ -218,6 +227,8 @@ def _cmd_map(args, stdin) -> int:
     emit = _emitter(args.format)
     r = args.r
     for lineno, line in enumerate(_flushing(_iter_lines(stdin)), start=1):
+        if len(line) > MAX_LINE and line[MAX_LINE:] != "\n":
+            raise ValueError(f"line {lineno}: an input line must be at most {MAX_LINE} characters long")
         if not line or line.isspace():  # a blank line; the parser strips the rest
             continue
         try:

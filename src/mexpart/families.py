@@ -82,11 +82,6 @@ class Overpartition:
             return self.overlined == other.overlined and self.plain == other.plain
         return NotImplemented
 
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self.overlined != other.overlined or self.plain != other.plain
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash((self.overlined, self.plain))
 

@@ -12,15 +12,17 @@ Failures accumulate in the report instead of aborting, so one run surfaces
 every discrepancy.
 
 Bijections and families are named here only through the registry in
-:mod:`mexpart.bijections`: the pairs that apply at each r, and so the
-families whose counts are compared, come from ``MAPS``, ``INVERSE`` and
-``map_families`` (:func:`_pairs`), so a map added there is round-tripped
-and its families counted here without further code.
+:mod:`mexpart.bijections`.  The pairs that apply at each r, and so the
+families whose counts are compared, are the forward maps of its one pairs
+table whose families accept r (:func:`_pairs`); every map is called
+through ``MAPS``.  A pair added to that table is round-tripped and its
+families counted here without further code.  Tables 3-6 are data, each
+block a (map id, r, n) whose rows that map computes.
 """
 
 from __future__ import annotations
 
-from .bijections import INVERSE, MAPS, UNCHECKED, map_families
+from .bijections import _PAIRS, INVERSE, MAPS, UNCHECKED, map_families
 from .families import Family, _series, enumerate_family, is_member
 from .partitions import _Record, _require_int, _set, conjugate, glaisher_split
 from .qseries import gf_pmex
@@ -103,13 +105,10 @@ def verify_counts(max_n: int, max_r: int) -> VerificationReport:
 
 def _pairs(r: int) -> list[tuple[str, Family, Family]]:
     """(id, domain, codomain) of every forward map that applies at ``r``, in
-    registry order: a map is a forward map unless its inverse comes before
-    it in ``MAPS``, and it applies when its families accept r."""
-    pairs, seen = [], set()
-    for map_id in MAPS:
-        if INVERSE[map_id] in seen:
-            continue
-        seen.add(map_id)
+    registry order: the first map of each pair in ``bijections._PAIRS``,
+    when its families accept r."""
+    pairs = []
+    for (map_id, _, _), _ in _PAIRS:
         try:
             pairs.append((map_id, *map_families(map_id, r)))
         except ValueError:
@@ -182,6 +181,16 @@ def _distinct_partitions(n: int):
     return [p for p in enumerate_family(Family("p"), n) if len(set(p.parts)) == len(p.parts)]
 
 
+# The tables of a map's pairing: each block lists the image of every
+# weight-n member of the map's domain at r, as (map id, r, n).
+_MAP_TABLES = {
+    3: (("odd", 1, 6),),  # pe at r = 1 is every partition
+    4: (("t5", 2, 7), ("t5inv", 3, 7)),
+    5: (("odd", 3, 8),),
+    6: (("even", 2, 6),),
+}
+
+
 def reproduce_table(table_id: int) -> str:
     """Recompute one of the six reference tables as pairing rows.
 
@@ -195,14 +204,8 @@ def reproduce_table(table_id: int) -> str:
         rows = [(d, conjugate(d)) for d in _distinct_partitions(6)]
     elif table_id == 2:
         rows = [(d, glaisher_split(d)) for d in _distinct_partitions(6)]
-    elif table_id == 3:  # pe at r = 1 is every partition
-        rows = _map_rows("odd", 1, 6)
-    elif table_id == 4:
-        return _rows_text(_map_rows("t5", 2, 7)) + "\n" + _rows_text(_map_rows("t5inv", 3, 7))
-    elif table_id == 5:
-        rows = _map_rows("odd", 3, 8)
-    elif table_id == 6:
-        rows = _map_rows("even", 2, 6)
+    elif table_id in _MAP_TABLES:
+        return "\n".join(_rows_text(_map_rows(*block)) for block in _MAP_TABLES[table_id])
     else:
         raise ValueError(f"table id must be 1..6, got {table_id!r}")
     return _rows_text(rows)

@@ -40,10 +40,10 @@ __all__ = [
 # one ``parts`` tuple and take equality, hashing, ``_trusted`` and
 # ``__repr__`` from ``_Parts``; ``Overpartition``, the one type with two
 # fields, writes its own.  The hot methods read the fields by name: reading
-# them through an ``attrgetter``, as one base for every type would, made a
-# ``parts`` type's ``!=`` 1.8 times and ``Overpartition ==`` 2.4 times as
-# slow (``timeit``, one CPU).  ``__ne__`` is defined too, since without it
-# every ``!=`` goes through ``object.__ne__`` to ``__eq__``, one more call.
+# them through an ``attrgetter``, as one base for every type would, made
+# ``Partition ==`` 1.8 times and ``Overpartition ==`` 2.3 times as slow
+# (``timeit``, one CPU).  No type writes ``__ne__``: the package compares
+# its objects only with ``==``, and Python's default ``!=`` inverts it.
 # The types are not frozen: a frozen class assigns through
 # object.__setattr__, which doubled the cost of ``_trusted``, the
 # generators' hot path.  ``TruncatedSeries``, which no hot loop compares,
@@ -52,7 +52,7 @@ class _Parts:
     """Base of the types that hold one canonical ``parts`` tuple.
 
     Both types share these methods' code, and so its attribute caches: a
-    loop that alternates the two types object by object ran ``!=`` 44%
+    loop that alternates the two types object by object ran ``==`` 45-49%
     slower than with a copy of the methods in each class.  No loop here
     mixes them; each keeps to one type for thousands of objects.
     """
@@ -62,11 +62,6 @@ class _Parts:
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.parts == other.parts
-        return NotImplemented
-
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts != other.parts
         return NotImplemented
 
     def __hash__(self) -> int:

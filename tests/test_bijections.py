@@ -19,7 +19,9 @@ from mexpart import (
     oplus,
     sigma_decompose,
 )
-from mexpart.bijections import MAPS, map_families
+from mexpart import bijections
+from mexpart.bijections import DOMAIN, INVERSE, MAPS, UNCHECKED, map_families
+from mexpart.families import MEMBER_TYPES
 
 
 class TestSigmaDecompose:
@@ -292,3 +294,43 @@ class TestImagesAreCanonical:
                     assert self.PARSE[type(image)](image) == image, (map_id, r, obj)
                     images += 1
         assert images > 1000
+
+
+def test_the_public_maps_keep_their_names_docs_and_module():
+    # perfbench's tracer wraps each function in __all__ by its __module__;
+    # the decorator that puts a map's check in front of its body must keep
+    # that, the name and the docstring.
+    functions = [name for name in bijections.__all__ if not isinstance(getattr(bijections, name), type)]
+    assert len(functions) == 7
+    for name in functions:
+        function = getattr(bijections, name)
+        assert function.__name__ == name
+        assert function.__doc__ and function.__doc__.strip()
+        assert function.__module__ == "mexpart.bijections"
+
+
+def test_the_registry_keeps_its_ids_in_order():
+    assert [(map_id, function.__name__) for map_id, function in MAPS.items()] == [
+        ("t5", "mex_forward"), ("t5inv", "mex_inverse"),
+        ("odd", "odd_forward"), ("oddinv", "odd_inverse"),
+        ("even", "even_forward"), ("eveninv", "even_inverse"),
+    ]
+    assert list(INVERSE.items()) == [
+        ("t5", "t5inv"), ("t5inv", "t5"),
+        ("odd", "oddinv"), ("oddinv", "odd"),
+        ("even", "eveninv"), ("eveninv", "even"),
+    ]
+    assert list(DOMAIN.items()) == [
+        ("t5", "pmex"), ("t5inv", "obar"),
+        ("odd", "pe"), ("oddinv", "obar"),
+        ("even", "po2"), ("eveninv", "obar"),
+    ]
+    # every map but mex_forward, keyed by the checked map
+    assert list(UNCHECKED) == [mex_inverse, odd_forward, odd_inverse, even_forward, even_inverse]
+    for map_id, r, text in [("t5inv", 2, "5 ~3"), ("odd", 3, "5 4 1 1"), ("oddinv", 3, "4 ~3"),
+                            ("even", 2, "5_2 3_1 1_1"), ("eveninv", 2, "~4 3")]:
+        function = MAPS[map_id]
+        domain, _ = map_families(map_id, r)
+        obj = MEMBER_TYPES[domain.kind].from_text(text)
+        assert is_member(domain, obj)
+        assert UNCHECKED[function](obj, r) == function(obj, r)

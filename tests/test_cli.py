@@ -712,6 +712,57 @@ def test_map_bounds_the_weight_of_every_input(bijection, r, at_limit, over_limit
     assert run(argv, f"{at_limit}\n{over_limit}\n") == (2, out, refused)
 
 
+def test_map_bounds_the_length_of_every_line():
+    # The ceiling is the longest canonical line of weight MAX_DEGREE: that
+    # line maps, and any line one character longer is refused, padded or not,
+    # by run() for a string or a list as by the command.
+    limit = cli.MAX_LINE
+    longest = " ".join(["1_1"] * cli.MAX_DEGREE)
+    assert len(longest) == limit
+    code, out, err = run(["map", "--bijection", "even", "--r", "2"], longest + "\n")
+    assert (code, err) == (0, "")
+    assert cli._PARSERS["eveninv"](out).weight == cli.MAX_DEGREE
+    argv = ["map", "--bijection", "odd", "--r", "1"]
+    padded = "3 1".center(limit)
+    for stdin in (f"1\n{padded}\n", f"1\n{padded}", ["1\n", padded + "\n"], ["1", padded]):
+        assert run(argv, stdin) == (0, "~1\n~3 ~1\n", "")
+    refused = f"error: line 2: an input line must be at most {limit} characters long\n"
+    blank = " " * (limit + 1)
+    for stdin in (f"1\n {padded}\n", f"1\n{padded} ", f"1\n{blank}\n3\n", ["1\n", padded + " \n"], ["1", blank]):
+        assert run(argv, stdin) == (2, "~1\n", refused)
+
+
+def test_map_refuses_a_long_line_before_it_holds_it():
+    # A 4 MB line of 2,000,000 `1`s was read and parsed whole before its
+    # weight was refused, at a 70-73 MB peak.  Now the command reads at most
+    # MAX_LINE + 1 characters of it, and the refusal peaked at 15.1 MB, as a
+    # one-line run did (VmHWM of each child, three runs each, x86-64,
+    # CPython 3.11).  The bound is 4 MiB above the one-line run: less than
+    # the line itself, held whole.
+    script = (
+        "import sys\n"
+        "from mexpart.cli import main\n"
+        "sys.argv = ['mexpart', 'map', '--bijection', 'odd', '--r', '1']\n"
+        "code = main()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def command(stdin: str):
+        proc = subprocess.run([sys.executable, "-c", script], input=stdin.encode(), capture_output=True, env=_env(),
+                              timeout=60)
+        *messages, peak_kib = proc.stderr.decode().splitlines()
+        return proc.returncode, proc.stdout.decode(), messages, int(peak_kib)
+
+    code, out, messages, quiet = command("1\n")
+    assert (code, out, messages) == (0, "~1\n", [])
+    code, out, messages, peak = command(" ".join(["1"] * 2_000_000) + "\n")
+    assert (code, out) == (2, "")
+    assert messages == [f"error: line 1: an input line must be at most {cli.MAX_LINE} characters long"]
+    assert peak - quiet < 4096, (quiet, peak)
+
+
 def test_count_and_verify_counts_build_no_member(monkeypatch):
     # They count by the families' block rule, so no generator of members
     # and no member constructor may run.
