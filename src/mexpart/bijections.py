@@ -24,9 +24,10 @@ private ``_trusted`` constructors: the image is canonical by construction,
 so the public constructors' sorting and checks would only repeat work.
 A map whose check is the membership test of its domain is written once,
 as its body under ``@_checked(id)``, which puts the test in front of the
-body and records the bare body in ``UNCHECKED`` for callers that have
-already made it.  ``mex_forward`` checks its input itself, since its check
-is the mex run that its body needs anyway.
+body.  ``mex_forward`` checks its input itself, since its check is the mex
+run that its body needs anyway.  No map can be called without its check:
+a caller that needs to know whether an object is in a map's domain calls
+the map and catches its ``ValueError``.
 """
 
 from __future__ import annotations
@@ -67,21 +68,10 @@ class SigmaDecomposition(_Record):
         _set(self, "r", r)
 
 
-# The body of each map whose check is a membership test: the map without
-# that test, for a caller that has just made it at the same r.  A map not
-# listed, such as ``mex_forward`` (its check is the mex run it computes
-# anyway), is its own body.  The bodies take r only to be called as the maps
-# are; none reads it.  Keyed by the map function, not by its id, so that a
-# map replaced in ``MAPS`` (a test injecting a fault does so) has no body
-# here and is called as it stands: keyed by id, the oracle would call the
-# registered body instead, and a faulty ``oddinv`` or ``even`` would pass.
-UNCHECKED = {}
-
-
 def _checked(map_id: str):
     """Decorator: map ``map_id`` as the decorated body behind its check,
     which refuses an ``r`` that the map's families refuse and an object
-    outside its domain.  The body is recorded in ``UNCHECKED``."""
+    outside its domain.  The body is reached only through the check."""
 
     def decorate(body):
         @wraps(body)
@@ -91,7 +81,6 @@ def _checked(map_id: str):
                 raise _outside(domain, obj)
             return body(obj, r)
 
-        UNCHECKED[checked] = body
         return checked
 
     return decorate

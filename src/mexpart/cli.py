@@ -83,10 +83,10 @@ MAX_LINE = 4 * MAX_DEGREE - 1
 # of it interpreter start (`count` reads one coefficient of the family's
 # series and builds no member; the `pmex` series to degree 42 takes
 # 0.09-0.29 ms in process, growing with r up to r = 42), and `verify
-# --max-n 32 --max-r 16` 5.0-5.4 s at 20 MB, against 3.4-3.7 s for
+# --max-n 32 --max-r 16` 3.4-3.9 s at 20 MB, against 2.6-3.2 s for
 # `--max-r 8`, the acceptance size, nearly all of it the round trips
 # (minimum and median of 5 runs, each pinned to one CPU, peak resident
-# memory read from VmHWM).
+# memory from ru_maxrss).
 # Unbounded, `verify --max-n 2 --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32

@@ -4,8 +4,8 @@
 off each family's own series, against the generating-function
 coefficients), ``verify_roundtrips`` exhaustively round-trips every
 bijection, each direction of a pair through one pass, the inverse's pass
-starting from the pairs the forward pass verified, so that on a passing
-run each map is called once per object, and ``reproduce_table``
+skipping the objects the forward pass verified, so that on a passing run
+each map is called once per object, and ``reproduce_table``
 recomputes the six reference pairing tables that are stored as golden
 files under ``mexpart/golden/``.
 Failures accumulate in the report instead of aborting, so one run surfaces
@@ -22,7 +22,7 @@ block a (map id, r, n) whose rows that map computes.
 
 from __future__ import annotations
 
-from .bijections import _PAIRS, INVERSE, MAPS, UNCHECKED, map_families
+from .bijections import _PAIRS, INVERSE, MAPS, map_families
 from .families import Family, _series, enumerate_family, is_member
 from .partitions import _Record, _require_int, _set, conjugate, glaisher_split
 from .qseries import gf_pmex
@@ -122,7 +122,7 @@ def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
     The maps run by pair (:func:`_pairs`), a forward map and then its
     inverse, each direction through :func:`_round_trip`.  Each codomain is
     enumerated once per (n, r) and each pair's domain once per pair.  The
-    inverse pass starts from the pairs the forward pass verified, so on a
+    inverse pass skips the images the forward pass verified, so on a
     passing run each map is called once per object; the report is check for
     check the one that two separate passes, one per map, would give.
     """
@@ -136,42 +136,41 @@ def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
             for map_id, domain, codomain in _pairs(r):
                 if codomain not in codomains:
                     codomains[codomain] = enumerate_family(codomain, n)
-                verified = _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, {})
+                verified = _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, set())
                 _round_trip(checks, params, INVERSE[map_id], codomains[codomain], domain, r, verified)
                 del verified  # drop the pair's objects before the next domain is enumerated
     return VerificationReport(tuple(checks))
 
 
-def _round_trip(checks, params, map_id, sources, codomain, r, known) -> dict:
+def _round_trip(checks, params, map_id, sources, codomain, r, known) -> set:
     """Append the two checks of map ``map_id`` over ``sources`` and return
-    its verified pairs, each image mapped to its source.
+    its verified images.
 
-    Each source ``a`` not in ``known`` is mapped with the checked map, its
-    image ``b`` is tested with ``is_member`` and the inverse is called
-    unchecked (``UNCHECKED``) on it: the pair is verified when the inverse
-    returns ``a``.  ``known`` holds the pairs the inverse's own pass
-    verified, each source mapped to its image, so for a source in it both
-    maps are already known to send one to the other, and only
-    ``is_member(codomain, b)`` is left to test.
+    Both maps are called through ``MAPS``, each with its own domain check.
+    Each source ``a`` not in ``known`` is mapped to ``b`` and the inverse is
+    called on ``b``: the pair is verified when the inverse returns ``a``.
+    The inverse's check is the test that ``b`` lies in ``codomain``, so only
+    when the inverse refuses ``b`` is ``is_member(codomain, b)`` asked
+    whether the image or the inverse is at fault.  ``known`` holds the
+    images the inverse's own pass verified: for a source in it, both maps
+    are known to send one object to the other, and the other object came
+    from its family's enumeration, so there is nothing left to test.
     """
     forward, inverse = MAPS[map_id], MAPS[INVERSE[map_id]]
-    inverse = UNCHECKED.get(inverse, inverse)
-    verified = {}
+    verified = set()
     bad_image = bad_identity = 0
     for a in sources:
-        b = known.get(a)
-        full = b is None
-        if full:
-            b = forward(a, r)
-        if not is_member(codomain, b):
-            # the inverse is not defined there; it cannot return the source
-            bad_image += 1
-            bad_identity += 1
-        elif full:
+        if a in known:
+            continue
+        b = forward(a, r)
+        try:
             if inverse(b, r) == a:
-                verified[b] = a
-            else:
-                bad_identity += 1
+                verified.add(b)
+                continue
+        except ValueError:
+            # the inverse refused b: the image is at fault iff b is outside the codomain
+            bad_image += not is_member(codomain, b)
+        bad_identity += 1
     checks.append(Check(f"{map_id}: images in codomain", params, 0, bad_image))
     checks.append(Check(f"{map_id}: inverse returns source", params, 0, bad_identity))
     return verified

@@ -11,7 +11,7 @@ bounded memo (``TOKEN_MEMO_SIZE`` strings per type) that gives the part it
 stands for only if the token is how that part prints, and the parts must
 come in print order.  An accepted line is wrapped with ``_trusted``; a
 refused one is converted with ``int``, built by the public constructor and
-printed, only to word the same message as always.
+printed, only to word its message.
 """
 
 from __future__ import annotations
@@ -221,11 +221,11 @@ def _colored_arguments(tokens: list[str]) -> tuple[list[tuple[int, int]]]:
 def _refuse(cls, line: str, tokens: list[str], arguments):
     """Raise the error for a ``cls`` line that the token pass refused.
 
-    The message is worded from the route that once decided acceptance:
-    ``arguments`` converts the tokens with ``int`` and the public
-    constructor builds the object.  Tokens that do not convert get one
-    message, the constructor's own ValueError propagates, and otherwise the
-    message shows how the object prints.
+    The message is worded from the public route: ``arguments`` converts
+    the tokens with ``int`` and the public constructor builds the object.
+    Tokens that do not convert get one message, the constructor's own
+    ValueError propagates, and otherwise the message shows how the object
+    prints.
     """
     try:
         args = arguments(tokens)

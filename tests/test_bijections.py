@@ -20,8 +20,7 @@ from mexpart import (
     sigma_decompose,
 )
 from mexpart import bijections
-from mexpart.bijections import DOMAIN, INVERSE, MAPS, UNCHECKED, map_families
-from mexpart.families import MEMBER_TYPES
+from mexpart.bijections import DOMAIN, INVERSE, MAPS, map_families
 
 
 class TestSigmaDecompose:
@@ -325,12 +324,3 @@ def test_the_registry_keeps_its_ids_in_order():
         ("odd", "pe"), ("oddinv", "obar"),
         ("even", "po2"), ("eveninv", "obar"),
     ]
-    # every map but mex_forward, keyed by the checked map
-    assert list(UNCHECKED) == [mex_inverse, odd_forward, odd_inverse, even_forward, even_inverse]
-    for map_id, r, text in [("t5inv", 2, "5 ~3"), ("odd", 3, "5 4 1 1"), ("oddinv", 3, "4 ~3"),
-                            ("even", 2, "5_2 3_1 1_1"), ("eveninv", 2, "~4 3")]:
-        function = MAPS[map_id]
-        domain, _ = map_families(map_id, r)
-        obj = MEMBER_TYPES[domain.kind].from_text(text)
-        assert is_member(domain, obj)
-        assert UNCHECKED[function](obj, r) == function(obj, r)
