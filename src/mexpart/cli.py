@@ -57,14 +57,14 @@ __all__ = ["main", "run"]
 DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The largest degree `gf` computes, whether it comes from `--degree` or from
 # MEX_DEFAULT_DEGREE; above it `gf` exits 2.  At the ceiling the command
-# writes about 8 MB, peaks at 19-24 MB resident and took 0.8-1.9 s for every
-# r measured (2, 3, 8, 173, 201, 235, 1000, 5858, 14645, 25000 and 50000,
-# three runs each).  gf_pmex takes the finite factors below r or Euler's
-# sum, whichever costs less, each step weighed by its measured cost; the
-# costliest r by that weight, where the two routes cost within 0.4% of each
-# other, is 173: gf_pmex(173, 50000) took 1.7-1.9 s, and the command
-# 1.8 s (three runs each; one CPU of a 2-CPU shared x86-64 host, CPython
-# 3.11).
+# writes about 8 MB, peaks at 20-30 MB resident (VmHWM; Euler's sum takes
+# the most) and took 0.5-1.6 s for every r measured (2, 3, 8, 173, 201, 221,
+# 235, 1000, 5858, 14645, 25000 and 50000, fastest of three runs each).
+# gf_pmex takes the finite factors below r or Euler's sum, whichever costs
+# less, each step weighed by its measured cost; the costliest r by that
+# weight, where the two routes cost within 0.2% of each other, is 221:
+# gf_pmex(221, 50000) took 1.28-1.33 s, and the command 1.39-1.76 s (three
+# runs each; one CPU of a 2-CPU shared x86-64 host, CPython 3.11).
 # It is also the largest weight of an object `map` takes, whatever the map.
 # The maps from obar can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of

@@ -154,7 +154,9 @@ def _round_trip(checks, params, map_id, sources, codomain, r, known) -> set:
     whether the image or the inverse is at fault.  ``known`` holds the
     images the inverse's own pass verified: for a source in it, both maps
     are known to send one object to the other, and the other object came
-    from its family's enumeration, so there is nothing left to test.
+    from its family's enumeration, so there is nothing left to test.  A
+    source that the map refuses has no image: it counts as a failed round
+    trip, not as an image outside the codomain.
     """
     forward, inverse = MAPS[map_id], MAPS[INVERSE[map_id]]
     verified = set()
@@ -162,14 +164,16 @@ def _round_trip(checks, params, map_id, sources, codomain, r, known) -> set:
     for a in sources:
         if a in known:
             continue
-        b = forward(a, r)
+        b = None
         try:
+            b = forward(a, r)
             if inverse(b, r) == a:
                 verified.add(b)
                 continue
         except ValueError:
-            # the inverse refused b: the image is at fault iff b is outside the codomain
-            bad_image += not is_member(codomain, b)
+            # the map refused a (b is None), or the inverse refused b: then
+            # the image is at fault iff b is outside the codomain
+            bad_image += b is not None and not is_member(codomain, b)
         bad_identity += 1
     checks.append(Check(f"{map_id}: images in codomain", params, 0, bad_image))
     checks.append(Check(f"{map_id}: inverse returns source", params, 0, bad_identity))

@@ -11,11 +11,13 @@ series (Andrews, *The Theory of Partitions*, ch. 1-2): Euler's pentagonal
 number theorem, (q; q)_inf = sum over k in Z of (-1)^k q^{k(3k-1)/2}, and
 Gauss's phi(-q) = sum over k in Z of (-1)^k q^{k^2} = (q; q)_inf^2 / (q^2; q^2)_inf,
 whose inverse is the overpartition series (-q; q)_inf / (q; q)_inf
-(Corteel and Lovejoy, "Overpartitions", 2004).  Dividing by a sparse series
-with O(sqrt(n)) terms up to q^n costs O(degree^1.5) steps in all, and each
-finite factor (1 - q^e) one pass, or for larger r each term of Euler's sum
-(Andrews, Cor. 2.2).  ``poch_inv`` and ``series_mul`` compute the same
-product the direct way, in O(degree^2), and serve as its test oracle.
+(Corteel and Lovejoy, "Overpartitions", 2004).  Both sparse series have
+O(sqrt(n)) terms up to q^n, each +c or -c for one c (1 or 2), so dividing
+by one costs O(degree^1.5) big-integer additions in all and one multiply
+per coefficient; each finite factor (1 - q^e) costs one pass, or for larger
+r each term of Euler's sum (Andrews, Cor. 2.2).  ``poch_inv`` and
+``series_mul`` compute the same product the direct way, in O(degree^2), and
+serve as its test oracle.
 """
 
 from __future__ import annotations
@@ -156,22 +158,36 @@ def _sparse_quotient(numerator, denominator, degree: int) -> list[int]:
     """Coefficients 0..degree of (1 + numerator) / (1 + denominator).
 
     Both are sparse (exponent, coefficient) pairs with exponents >= 1,
-    ``denominator`` ascending.  Coefficient n of the quotient T is
-    numerator_n - sum of d_e * T_{n-e} over the denominator's exponents
-    e <= n, so one coefficient costs as many steps as the denominator has
-    terms up to n.
+    ``denominator`` ascending, and every coefficient of ``denominator`` is
+    +c or -c for one c, as in the pentagonal (c = 1) and theta (c = 2)
+    series; any other denominator raises ValueError.  Coefficient n of the
+    quotient T is numerator_n - c * (sum of T_{n-e} over the + exponents
+    e <= n minus the same sum over the - exponents), so one coefficient
+    costs one addition per denominator term up to n and one multiply.
     """
+    magnitude = abs(denominator[0][1]) if denominator else 0
+    for _, c in denominator:
+        if abs(c) != magnitude:
+            raise ValueError(
+                f"denominator coefficients must all be +c or -c for one c, got {magnitude} and {abs(c)}"
+            )
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     for e, c in numerator:
         coeffs[e] = c
+    plus, minus = [], []  # the exponents up to n of each sign
+    i = 0
     for n in range(1, degree + 1):
-        acc = coeffs[n]
-        for e, c in denominator:
-            if e > n:
-                break
-            acc -= c * coeffs[n - e]
-        coeffs[n] = acc
+        while i < len(denominator) and denominator[i][0] <= n:
+            e, c = denominator[i]
+            (plus if c > 0 else minus).append(e)
+            i += 1
+        total = 0
+        for e in plus:
+            total += coeffs[n - e]
+        for e in minus:
+            total -= coeffs[n - e]
+        coeffs[n] -= magnitude * total
     return coeffs
 
 
@@ -236,17 +252,18 @@ def gf_pmex(r: int, degree: int = DEFAULT_DEGREE) -> TruncatedSeries:
     pentagonal, theta = _pentagonal(degree), _theta(degree)
     quotient = theta if r % 2 == 0 else pentagonal
     finite = range(2 if r % 2 else 1, min(r, degree + 1), 2)
-    # Each step weighed by its measured cost (degree 50000, min of 3): a
-    # sparse-quotient step costs 3/2 of a pass or sum step (125-138 ns
-    # against 81-93 on the finite route, 105-117 against 71-78 on Euler's),
-    # and a finite-route step 9/8 of one of Euler's, whose coefficients, U's,
-    # have about 1/sqrt(2) as many digits.  The routes then cross where
-    # timing both puts it, near r = 171 for odd r and r = 276 for even r.
-    finite_cost = 9 * (2 * _updates(finite, degree) + 3 * _updates((e for e, _ in quotient), degree))
+    # Each step weighed by its measured cost (degree 50000, one pinned CPU,
+    # min of 3): a sparse-quotient step costs 4/5 of a pass or sum step
+    # (61-80 ns against 79-111 on the finite route, 56-68 against 70-83 on
+    # Euler's), and a finite-route step 9/8 of one of Euler's, whose
+    # coefficients, U's, have about 1/sqrt(2) as many digits.  Euler's sum
+    # is then first taken at r = 223 for odd r and r = 284 for even r, where
+    # timing both routes puts the crossings, near r = 231 and r = 283.
+    finite_cost = 9 * (5 * _updates(finite, degree) + 4 * _updates((e for e, _ in quotient), degree))
     euler_cost = 8 * (
-        2 * _updates(range(r + 3, degree + 1, r + 3), degree)
-        + 2 * _updates(range(r + 1, degree + 1, r + 1), degree)
-        + 3 * _updates((e for e, _ in theta), degree)
+        5 * _updates(range(r + 3, degree + 1, r + 3), degree)
+        + 5 * _updates(range(r + 1, degree + 1, r + 1), degree)
+        + 4 * _updates((e for e, _ in theta), degree)
     )
     if euler_cost < finite_cost:
         terms = _euler_terms(_sparse_quotient(pentagonal, theta, degree), r + 1)

@@ -275,6 +275,25 @@ def test_verify_failure_exits_one(monkeypatch):
     assert "FAIL forced" in out
 
 
+def test_verify_reports_a_source_its_map_refuses(monkeypatch):
+    # (2) is not in pmex at r = 2, so t5 refuses it: a failed check and
+    # exit 1, not an error and exit 2.
+    enumerate_family = oracle.enumerate_family
+
+    def with_outsider(family, n):
+        members = enumerate_family(family, n)
+        return [*members, Partition([2])] if (family.kind, family.r, n) == ("pmex", 2, 2) else members
+
+    monkeypatch.setattr(oracle, "enumerate_family", with_outsider)
+    code, out, err = run(["verify", "--max-n", "4", "--max-r", "2"])
+    assert (code, err) == (1, "")
+    assert out == (
+        "FAIL t5: inverse returns source [n=2 r=2]: expected 0, actual 1\n"
+        "counts: 30 checks, 0 failures\n"
+        "roundtrips: 80 checks, 1 failures\n"
+    )
+
+
 _USAGE_ERRORS = [
     ["count", "--family", "nope", "--n", "4"],
     ["count", "--family", "pmex", "--n", "4"],  # missing --r

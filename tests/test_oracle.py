@@ -189,6 +189,24 @@ class TestVerifyRoundtrips:
         assert report.failures()
         assert report == _two_passes(9, 4)
 
+    def test_a_source_its_map_refuses_fails_one_check(self, monkeypatch):
+        # (2) has mex 1 and a part in 1..2, so it is not in pmex at r = 2 and
+        # t5 refuses it: one failed round trip, and the report goes on with
+        # the checks a passing run makes.
+        passing = verify_roundtrips(4, 2)
+        enumerate_family = oracle.enumerate_family
+
+        def with_outsider(family, n):
+            members = enumerate_family(family, n)
+            return [*members, Partition([2])] if (family.kind, family.r, n) == ("pmex", 2, 2) else members
+
+        monkeypatch.setattr(oracle, "enumerate_family", with_outsider)
+        report = verify_roundtrips(4, 2)
+        assert [(c.name, c.params) for c in report.checks] == [(c.name, c.params) for c in passing.checks]
+        assert [c.describe() for c in report.failures()] == [
+            "FAIL t5: inverse returns source [n=2 r=2]: expected 0, actual 1"
+        ]
+
     def test_each_domain_is_enumerated_once(self, monkeypatch):
         calls = Counter()
         enumerate_family = oracle.enumerate_family

@@ -199,6 +199,55 @@ class TestGfPmex:
                 assert series == expected
 
 
+def one_loop_quotient(numerator, denominator, degree):
+    """(1 + numerator) / (1 + denominator) one term at a time: coefficient n
+    is numerator_n minus d_e * T_{n-e} for each denominator term e <= n."""
+    coeffs = [0] * (degree + 1)
+    coeffs[0] = 1
+    for e, c in numerator:
+        coeffs[e] = c
+    for n in range(1, degree + 1):
+        acc = coeffs[n]
+        for e, c in denominator:
+            if e > n:
+                break
+            acc -= c * coeffs[n - e]
+        coeffs[n] = acc
+    return coeffs
+
+
+SPARSE_SERIES = {
+    "pentagonal": qseries._pentagonal,
+    "pentagonal step 2": lambda degree: qseries._pentagonal(degree, 2),
+    "theta": qseries._theta,
+}
+
+
+class TestSparseQuotient:
+    @pytest.mark.parametrize("denominator", SPARSE_SERIES)
+    def test_matches_the_one_loop_quotient(self, denominator):
+        for degree in range(401):
+            den = SPARSE_SERIES[denominator](degree)
+            for num in ((), *(series(degree) for series in SPARSE_SERIES.values())):
+                assert qseries._sparse_quotient(num, den, degree) == one_loop_quotient(num, den, degree)
+
+    @given(
+        st.integers(0, 60),
+        st.integers(0, 5),
+        st.lists(st.tuples(st.integers(1, 65), st.booleans()), max_size=12),
+        st.dictionaries(st.integers(1, 60), st.integers(-9, 9), max_size=6),
+    )
+    def test_matches_it_for_any_one_magnitude(self, degree, magnitude, terms, numerator):
+        denominator = [(e, -magnitude if negative else magnitude) for e, negative in sorted(terms)]
+        num = [(e, c) for e, c in numerator.items() if e <= degree]
+        assert qseries._sparse_quotient(num, denominator, degree) == one_loop_quotient(num, denominator, degree)
+
+    @pytest.mark.parametrize("denominator", [[(1, 1), (2, -2)], [(1, -2), (4, 2), (5, 1)], [(3, 0), (4, 1)]])
+    def test_refuses_two_magnitudes(self, denominator):
+        with pytest.raises(ValueError, match="denominator"):
+            qseries._sparse_quotient((), denominator, 6)
+
+
 def product(r, degree):
     """The paper's product the direct way: two dense inverses and their
     O(degree^2) Cauchy product."""
