@@ -339,6 +339,18 @@ def test_usage_errors_exit_two(argv, named):
         assert usage.startswith("usage: mexpart ")
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["map", "--bijection", "odd", "--r", "2"], "error: --bijection odd --r 2: family 'pe' needs odd r, got 2\n"),
+        (["map", "--bijection", "even", "--r", "3"], "error: --bijection even --r 3: family 'po2' needs even r, got 3\n"),
+        (["count", "--family", "pe", "--n", "5", "--r", "2"], "error: family 'pe' needs odd r, got 2\n"),
+    ],
+)
+def test_a_family_refusal_is_printed_whole(argv, err):
+    assert run(argv) == (2, "", err)
+
+
 @pytest.mark.parametrize("command", ["count", "enumerate"])
 @pytest.mark.parametrize("kind", ["pmex", "obar", "pe", "po2"])
 def test_a_family_that_takes_r_names_a_missing_r(command, kind):

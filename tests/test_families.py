@@ -166,6 +166,24 @@ class TestFamilyId:
         with pytest.raises(ValueError):
             Family("nope")
 
+    @pytest.mark.parametrize(
+        "kind,r,message",
+        [
+            ("nope", None, "unknown family 'nope'"),
+            *(("pmex", r, f"r of family 'pmex' must be an integer >= 1, got {r!r}") for r in (None, 0, True, 2.0)),
+            ("p", 1, "family 'p' takes no parameter r"),
+            ("pbar", 2, "family 'pbar' takes no parameter r"),
+            ("pe", 2, "family 'pe' needs odd r, got 2"),
+            ("po2", 3, "family 'po2' needs even r, got 3"),
+            # the integer check runs before the parity check
+            ("pe", 0, "r of family 'pe' must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_each_refusal_names_its_rule(self, kind, r, message):
+        with pytest.raises(ValueError) as refused:
+            Family(kind, r)
+        assert str(refused.value) == message
+
 
 class TestEnumerate:
     def test_p4_exact(self):
