@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache, wraps
 
-from .families import _SIZE, ColoredPartition, Family, Overpartition, is_member
+from .families import _SIZE, MEMBER_TYPES, ColoredPartition, Family, Overpartition, is_member
 from .partitions import (
     INFINITE, Partition, _conjugate, _merge, _mex_and_run, _oplus, _Record, _require_int, _run_at_least,
     _set, _split,
@@ -88,7 +88,7 @@ def _checked(map_id: str):
 
 def _outside(domain: Family, obj) -> ValueError:
     """The error for ``obj`` outside ``domain``; any value may be passed."""
-    shown = obj.text() if isinstance(obj, (Partition, Overpartition, ColoredPartition)) else obj
+    shown = obj.text() if isinstance(obj, tuple(MEMBER_TYPES.values())) else obj
     return ValueError(f"{shown!r} is not in family {domain.kind!r} at r={domain.r}")
 
 

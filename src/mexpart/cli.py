@@ -23,13 +23,8 @@ by its full name, at most once, its value the next word; any other argv
 exits 2 with a message that names the word at fault and the usage line.
 
 The ``mexpart`` command (:func:`main`) first freezes the heap its imports
-built, so that the collections at interpreter shutdown skip it.  From the
-moment the imports are done to exit, a process of ``count --family p --n 1``
-took 12.0 ms without the freeze and 4.0 ms with it, and one of ``gf --r 3
---degree 3000`` 44.8 ms and 37.1 ms; importing this module took 26.9 ms
-(medians of 41 processes each, alternating, one CPU of a shared 2-CPU
-x86-64 host, CPython 3.11, no ``__pycache__``).  :func:`run`
-does not touch the collector.
+built, so that the collections at interpreter shutdown skip it (README
+gives the figures).  :func:`run` does not touch the collector.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from . import oracle
 from .bijections import DOMAIN, map_families
 from .bijections import MAPS as _MAPS
 from .families import FAMILY_KINDS, MEMBER_TYPES, Family
-from .families import _count, _members
+from .families import _KINDS, _count, _members
 from .partitions import _printed_integer
 from .qseries import DEFAULT_DEGREE, gf_pmex
 
@@ -192,14 +187,11 @@ def _at_most(value: int, ceiling: int, option: str) -> int:
 
 
 def _family(command: str, args) -> Family:
-    """The family of ``--family`` and ``--r``; a kind that takes r refuses a
-    missing ``--r`` as a missing required option."""
-    try:
-        return Family(args.family, args.r)
-    except ValueError:
-        if args.r is None:
-            raise _refused(command, f"--r is required for --family {args.family}") from None
-        raise
+    """The family of ``--family`` and ``--r``; a kind whose r rule takes r
+    refuses a missing ``--r`` as a missing required option."""
+    if args.r is None and _KINDS[args.family][1] is not None:
+        raise _refused(command, f"--r is required for --family {args.family}")
+    return Family(args.family, args.r)
 
 
 def _cmd_count(args, stdin) -> int:

@@ -12,23 +12,23 @@ names the command line uses:
 ``po2``     odd-part partitions, two colors allowed on sizes above r (r even)
 ==========  =============================================================
 
-Each family's rule is written once, in ``_rule``, as data: the sizes the
-walk skips or takes at most once, how many of a block's copies may carry a
-mark (an overline, or ``po2``'s second color), and the family's
-components, each ``(must, miss)``: one per mex for ``pmex``, one with
-neither for every other kind.  ``_members`` expands the rule: it walks
-each component's (size, multiplicity) blocks, renders each block as one
-pattern per number of marked copies, and merges the components' streams
-into canonical order.  ``_series`` counts by the same rule and builds no
-member and no pattern: each component adds q^|must| times the product
-over ``miss`` of (1 - q^e), and each allowed size multiplies that by its
-factor in closed form, such as (1 + q^s)/(1 - q^s), so every weight up to
-a degree comes at once.
-Every count is a coefficient of that series.  :class:`Family` holds the r
-rule and is the only holder of r: the member types carry none, so a
-``ColoredPartition`` is any two-colored odd partition, and ``po2``'s bound
-on the second color lives, like every family's rule, in ``_rule`` and
-:func:`is_member`.
+Each kind is stated once, as its row of the private table ``_KINDS``: its
+member type, its r rule (none, any, odd or even), its membership predicate
+and its rule.  ``MEMBER_TYPES``, ``FAMILY_KINDS``, :class:`Family`'s r
+check, :func:`is_member`, ``_rule`` and the command line read the rows, so
+a new kind is one new row.  A rule is data (``_rule``): the sizes the walk
+skips or takes at most once, how many of a block's copies may carry a
+mark, and the components, each ``(must, miss)``.  ``_members`` expands the
+rule: it walks each component's (size, multiplicity) blocks, renders each
+block as one pattern per number of marked copies, and merges the
+components' streams into canonical order.  ``_series`` counts by the same
+rule and builds no member and no pattern: each component adds q^|must|
+times the product over ``miss`` of (1 - q^e), and each allowed size
+multiplies that by its factor in closed form, such as (1 + q^s)/(1 - q^s),
+so every weight up to a degree comes at once.  Every count is a
+coefficient of that series.  Only a :class:`Family` holds r: the member
+types carry none, so a ``ColoredPartition`` is any two-colored odd
+partition, and ``po2``'s bound on the second color is in its row.
 
 The membership predicates stay the definition of every family: the tests
 check each generator against the unrestricted base family filtered through
@@ -191,69 +191,115 @@ class ColoredPartition(_Parts):
 _SIZE, _COLOR = itemgetter(0), itemgetter(1)
 
 
-# Member type of each family kind, in the order the command line lists them.
-MEMBER_TYPES = {
-    "p": Partition, "pbar": Overpartition,
-    "pmex": Partition, "obar": Overpartition,
-    "pe": Partition, "po2": ColoredPartition,
+_ODD = (1).__and__  # x & 1, bound once, not per call
+
+
+def _in_obar(obj, r: int) -> bool:
+    # every plain part > r with the parity of r+1: the smallest is > r, and
+    # no plain part is odd for odd r, every one is for even r
+    if not isinstance(obj, Overpartition):
+        return False
+    plain = obj.plain
+    if not plain:
+        return True
+    return plain[-1] > r and sum(map(_ODD, plain)) == (0 if r & 1 else len(plain))
+
+
+# pe and po2 restrict only the parts at or below r: the tail
+def _in_pe(obj, r: int) -> bool:
+    if not isinstance(obj, Partition):
+        return False
+    for size in reversed(obj.parts):
+        if size > r:
+            return True
+        if size % 2 == 0:
+            return False
+    return True
+
+
+def _in_po2(obj, r: int) -> bool:
+    if not isinstance(obj, ColoredPartition):
+        return False
+    for size, color in reversed(obj.parts):
+        if size > r:
+            return True
+        if color == 2:
+            return False
+    return True
+
+
+def _pmex_rule(r: int, n: int):
+    # one component per mex m whose staircase 1..m-1 (weight m(m-1)/2) fits
+    components = [
+        (range(1, m), range(m, min(m + r, n - m * (m - 1) // 2 + 1)))
+        for m in range(1, n + 2)
+        if m * (m - 1) // 2 <= n
+    ]
+    return (), (), lambda s: 0, components
+
+
+# The one component of every kind but pmex: no size required or missed.
+_WHOLE = (((), ()),)
+
+# Each kind, in the order the command line lists them: member type; r rule,
+# None for no r, else "any", "odd" or "even" r >= 1; membership predicate of
+# (obj, r), type check included; rule of (r, n), as ``_rule`` describes.
+_KINDS = {
+    "p": (Partition, None, lambda obj, r: isinstance(obj, Partition), lambda r, n: ((), (), lambda s: 0, _WHOLE)),
+    "pbar": (
+        Overpartition, None, lambda obj, r: isinstance(obj, Overpartition),
+        lambda r, n: ((), (), lambda s: 1, _WHOLE),
+    ),
+    "pmex": (
+        Partition, "any",
+        lambda obj, r: isinstance(obj, Partition) and _run_at_least(_mex_and_run(reversed(obj.parts))[1], r),
+        _pmex_rule,
+    ),
+    # a size at most r or of r's parity is always overlined, so it occurs
+    # once; every other size is plain or has one copy overlined
+    "obar": (
+        Overpartition, "any", _in_obar,
+        lambda r, n: ((), frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0), lambda s: 1, _WHOLE),
+    ),
+    # no even size below r
+    "pe": (Partition, "odd", _in_pe, lambda r, n: (range(2, min(r, n + 1), 2), (), lambda s: 0, _WHOLE)),
+    # odd sizes only; a second color only above r
+    "po2": (
+        ColoredPartition, "even", _in_po2,
+        lambda r, n: (range(2, n + 1, 2), (), lambda s: _UNBOUNDED if s > r else 0, _WHOLE),
+    ),
 }
-FAMILY_KINDS = tuple(MEMBER_TYPES)
+MEMBER_TYPES = {kind: row[0] for kind, row in _KINDS.items()}
+FAMILY_KINDS = tuple(_KINDS)
+_MEMBER = {kind: row[2] for kind, row in _KINDS.items()}
 
 
 class Family(_Record):
-    """Identifier for one of the named counting families, and the one place
-    that knows which kinds take ``r`` and which need it odd (``pe``) or even
-    (``po2``); a bijection's r rule is that of its domain and codomain
-    families."""
+    """Identifier for one of the named counting families: a kind and the
+    ``r`` that its row's r rule accepts.  A bijection's r rule is that of
+    its domain and codomain families."""
 
     __slots__ = ("kind", "r")
 
     def __init__(self, kind: str, r: int | None = None):
-        if kind not in MEMBER_TYPES:
+        if kind not in _KINDS:
             raise ValueError(f"unknown family {kind!r}")
-        if kind in ("p", "pbar"):
+        takes = _KINDS[kind][1]
+        if takes is None:
             if r is not None:
                 raise ValueError(f"family {kind!r} takes no parameter r")
         else:
             _require_int(r, 1, f"r of family {kind!r}")
-            if kind == "pe" and r % 2 == 0:
-                raise ValueError(f"family 'pe' needs odd r, got {r}")
-            if kind == "po2" and r % 2 == 1:
-                raise ValueError(f"family 'po2' needs even r, got {r}")
+            if takes not in ("any", ("even", "odd")[r & 1]):
+                raise ValueError(f"family {kind!r} needs {takes} r, got {r}")
         _set(self, "kind", kind)
         _set(self, "r", r)
 
 
 def is_member(family: Family, obj: object) -> bool:
-    """Membership predicate for every family: the definition each generator
-    below must agree with."""
-    kind, r = family.kind, family.r
-    if not isinstance(obj, MEMBER_TYPES[kind]):
-        return False
-    if kind == "pmex":
-        return _run_at_least(_mex_and_run(reversed(obj.parts))[1], r)
-    if kind == "obar":
-        # every plain part > r with the parity of r+1: the smallest part is
-        # > r, and the plain parts hold no odd part for odd r, only odd
-        # parts for even r
-        plain = obj.plain
-        if not plain:
-            return True
-        return plain[-1] > r and sum(map((1).__and__, plain)) == (0 if r & 1 else len(plain))
-    # pe and po2 restrict only the parts at or below r: the tail
-    if kind == "pe":
-        for size in reversed(obj.parts):
-            if size > r:
-                return True
-            if size % 2 == 0:
-                return False
-    elif kind == "po2":
-        for size, color in reversed(obj.parts):
-            if size > r:
-                return True
-            if color == 2:
-                return False
-    return True
+    """Whether ``obj`` is in ``family``, by its row's predicate: the
+    definition each generator below must agree with."""
+    return _MEMBER[family.kind](obj, family.r)
 
 
 def _walk(n: int, skip, once) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -312,46 +358,24 @@ def _flat(blocks, stair: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _rule(family: Family, n: int):
-    """The one statement of ``family``'s rule at weight ``n``, as data that
+    """``family``'s rule at weight ``n``, from its row, as data that
     :func:`_members` expands and :func:`_series` counts: ``(skip, once,
     most, components)``.
 
     ``skip`` and ``once`` are the sizes the walk skips and the sizes it
-    takes at most once: ``po2`` skips the even sizes and ``pe`` the even
-    sizes below r, and ``obar`` takes once the sizes that are always
-    overlined.  ``most(s)`` is the most of a block's m parts of size s that
-    carry a mark, an overline for the overpartition kinds and the second
-    color for ``po2``: 0, 1, or ``_UNBOUNDED`` for all m.  The fewest is 1
-    for a size in ``once`` and 0 for any other, and each number between is
-    one pattern of the block, ascending in canonical order (plain before
-    overlined, first color before second).  The partition kinds mark none.
-    The members fall into disjoint ``components``, each ``(must, miss)``: a
-    member of the component takes every size in ``must`` at least once and
-    none in ``miss``.  ``pmex`` has one component per mex m with m(m-1)/2
-    <= ``n``, whose ``must`` is the staircase 1..m-1 and whose ``miss`` is
-    the r sizes from m, up to the largest the rest of ``n`` can take; every
-    other kind has the one component ``((), ())``.  Every ``must`` is such
-    a staircase, which :func:`_flat` places.  Nothing here grows with r:
-    each set of sizes is a range or bounded by ``n``.
+    takes at most once.  ``most(s)`` is the most of a block's m parts of
+    size s that carry a mark, an overline or the second color: 0, 1, or
+    ``_UNBOUNDED`` for all m.  The fewest is 1 for a size in ``once`` and
+    0 for any other, and each number between is one pattern of the block,
+    ascending in canonical order.  The members fall into disjoint
+    ``components``, each ``(must, miss)``: a member of the component takes
+    every size in ``must`` at least once and none in ``miss``.  ``pmex``'s
+    ``must`` is the staircase below a mex m, which :func:`_flat` places,
+    and its ``miss`` the r sizes from m, up to the largest the rest of
+    ``n`` can take.  Nothing here grows with r: each set of sizes is a
+    range or bounded by ``n``.
     """
-    kind, r = family.kind, family.r
-    components = [((), ())]
-    if kind == "pmex":  # m(m-1)/2: the weight of the staircase below the mex m
-        components = [
-            (range(1, m), range(m, min(m + r, n - m * (m - 1) // 2 + 1)))
-            for m in range(1, n + 2)
-            if m * (m - 1) // 2 <= n
-        ]
-    if kind in ("pbar", "obar"):
-        # obar: a size at most r or of r's parity is always overlined, so
-        # it occurs once; every other size is plain or has one copy
-        # overlined.
-        forced = () if kind == "pbar" else frozenset(s for s in range(1, n + 1) if s <= r or (s - r) % 2 == 0)
-        return (), forced, lambda s: 1, components
-    if kind == "po2":  # odd sizes only; a second color only above r
-        return range(2, n + 1, 2), (), lambda s: _UNBOUNDED if s > r else 0, components
-    skip = range(2, min(r, n + 1), 2) if kind == "pe" else ()  # pe: no even size below r
-    return skip, (), lambda s: 0, components
+    return _KINDS[family.kind][3](family.r, n)
 
 
 # One pattern of a block: ``m`` parts of size ``s`` with ``c`` of them

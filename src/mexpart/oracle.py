@@ -3,21 +3,20 @@
 ``verify_counts`` checks the four-way count identity (family sizes, read
 off each family's own series, against the generating-function
 coefficients), ``verify_roundtrips`` exhaustively round-trips every
-bijection, each direction of a pair through one pass, the inverse's pass
-skipping the objects the forward pass verified, so that on a passing run
-each map is called once per object, and ``reproduce_table``
+bijection, both maps of a pair in one pass each, and ``reproduce_table``
 recomputes the six reference pairing tables that are stored as golden
 files under ``mexpart/golden/``.
 Failures accumulate in the report instead of aborting, so one run surfaces
 every discrepancy.
 
 Bijections and families are named here only through the registry in
-:mod:`mexpart.bijections`.  The pairs that apply at each r, and so the
-families whose counts are compared, are the forward maps of its one pairs
-table whose families accept r (:func:`_pairs`); every map is called
-through ``MAPS``.  A pair added to that table is round-tripped and its
-families counted here without further code.  Tables 3-6 are data, each
-block a (map id, r, n) whose rows that map computes.
+:mod:`mexpart.bijections`, save ``pmex``, the family whose product
+``gf_pmex`` is.  The pairs that apply at each r, and so the families whose
+counts are compared, are the forward maps of its one pairs table whose
+families accept r (:func:`_pairs`); every map is called through ``MAPS``.
+A pair added to that table is round-tripped and its families counted here
+without further code.  Tables 3-6 are data, each block a (map id, r, n)
+whose rows that map computes.
 """
 
 from __future__ import annotations
@@ -136,39 +135,41 @@ def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
             for map_id, domain, codomain in _pairs(r):
                 if codomain not in codomains:
                     codomains[codomain] = enumerate_family(codomain, n)
-                verified = _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, set())
-                _round_trip(checks, params, INVERSE[map_id], codomains[codomain], domain, r, verified)
-                del verified  # drop the pair's objects before the next domain is enumerated
+                images = codomains[codomain]
+                verified = dict.fromkeys(images, False)
+                _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, {}, verified)
+                _round_trip(checks, params, INVERSE[map_id], images, domain, r, verified, {})
     return VerificationReport(tuple(checks))
 
 
-def _round_trip(checks, params, map_id, sources, codomain, r, known) -> set:
-    """Append the two checks of map ``map_id`` over ``sources`` and return
-    its verified images.
+def _round_trip(checks, params, map_id, sources, codomain, r, known, verified) -> None:
+    """Append the two checks of map ``map_id`` over ``sources``, and mark
+    True in ``verified`` each image it verifies.
 
     Both maps are called through ``MAPS``, each with its own domain check.
-    Each source ``a`` not in ``known`` is mapped to ``b`` and the inverse is
-    called on ``b``: the pair is verified when the inverse returns ``a``.
-    The inverse's check is the test that ``b`` lies in ``codomain``, so only
-    when the inverse refuses ``b`` is ``is_member(codomain, b)`` asked
-    whether the image or the inverse is at fault.  ``known`` holds the
-    images the inverse's own pass verified: for a source in it, both maps
-    are known to send one object to the other, and the other object came
-    from its family's enumeration, so there is nothing left to test.  A
-    source that the map refuses has no image: it counts as a failed round
-    trip, not as an image outside the codomain.
+    Each source ``a`` that ``known`` does not mark is mapped to ``b`` and
+    the inverse is called on ``b``: the pair is verified when the inverse
+    returns ``a``.  The inverse's check is the test that ``b`` lies in
+    ``codomain``, so only when the inverse refuses ``b`` is
+    ``is_member(codomain, b)`` asked whether the image or the inverse is at
+    fault.  ``known`` marks the images the inverse's own pass verified: for
+    such a source, both maps are known to send one object to the other, and
+    the other object came from its family's enumeration, so there is
+    nothing left to test.  The keys of ``verified`` are the enumerated
+    codomain, so an image, once marked, is freed.  A source that the map
+    refuses has no image: it counts as a failed round trip, not as an image
+    outside the codomain.
     """
     forward, inverse = MAPS[map_id], MAPS[INVERSE[map_id]]
-    verified = set()
     bad_image = bad_identity = 0
     for a in sources:
-        if a in known:
+        if known.get(a):
             continue
         b = None
         try:
             b = forward(a, r)
             if inverse(b, r) == a:
-                verified.add(b)
+                verified[b] = True
                 continue
         except ValueError:
             # the map refused a (b is None), or the inverse refused b: then
@@ -177,7 +178,6 @@ def _round_trip(checks, params, map_id, sources, codomain, r, known) -> set:
         bad_identity += 1
     checks.append(Check(f"{map_id}: images in codomain", params, 0, bad_image))
     checks.append(Check(f"{map_id}: inverse returns source", params, 0, bad_identity))
-    return verified
 
 
 def _distinct_partitions(n: int):

@@ -343,7 +343,10 @@ def test_usage_errors_exit_two(argv, named):
     "argv,err",
     [
         (["map", "--bijection", "odd", "--r", "2"], "error: --bijection odd --r 2: family 'pe' needs odd r, got 2\n"),
-        (["map", "--bijection", "even", "--r", "3"], "error: --bijection even --r 3: family 'po2' needs even r, got 3\n"),
+        (
+            ["map", "--bijection", "even", "--r", "3"],
+            "error: --bijection even --r 3: family 'po2' needs even r, got 3\n",
+        ),
         (["count", "--family", "pe", "--n", "5", "--r", "2"], "error: family 'pe' needs odd r, got 2\n"),
     ],
 )

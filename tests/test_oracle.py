@@ -207,6 +207,27 @@ class TestVerifyRoundtrips:
             "FAIL t5: inverse returns source [n=2 r=2]: expected 0, actual 1"
         ]
 
+    def test_the_inverse_pass_holds_no_image(self, monkeypatch):
+        # What the forward pass verified reaches the inverse pass keyed by
+        # the enumerated codomain objects that pass iterates, so no image
+        # the forward map built outlives its own round trip.
+        passes = []
+        round_trip = oracle._round_trip
+        inverses = {inverse for _, (inverse, _, _) in bijections._PAIRS}
+
+        def recording(checks, params, map_id, sources, codomain, r, known, *rest):
+            if map_id in inverses:
+                passes.append((map_id, sources, known))
+            return round_trip(checks, params, map_id, sources, codomain, r, known, *rest)
+
+        monkeypatch.setattr(oracle, "_round_trip", recording)
+        assert verify_roundtrips(8, 3).overall
+        assert {map_id for map_id, _, _ in passes} == inverses
+        for map_id, sources, known in passes:
+            enumerated = {id(obj) for obj in sources}
+            assert [key for key in known if id(key) not in enumerated] == [], map_id
+        assert any(known for _, _, known in passes)
+
     def test_each_domain_is_enumerated_once(self, monkeypatch):
         calls = Counter()
         enumerate_family = oracle.enumerate_family

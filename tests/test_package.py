@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,61 @@ def test_sources_parse_as_python_3_10():
     assert sources
     for source in sources:
         ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
+
+
+def _kind_comparisons(source: str) -> list[int]:
+    """Lines of ``source`` that compare a value with a family kind written
+    as a string literal, or with a tuple, list or set that holds one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                literals = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+                if any(isinstance(x, ast.Constant) and x.value in families.FAMILY_KINDS for x in literals):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_dispatches_on_a_family_kind():
+    # Each kind is stated once, as its row of families._KINDS: no module
+    # tests a value against a kind's name.
+    assert _kind_comparisons('kind == "pe" or kind in ("p", "pbar") or "obar" != kind') == [1, 1, 1]
+    for source in sorted(Path(mexpart.__file__).parent.glob("*.py")):
+        assert _kind_comparisons(source.read_text(encoding="utf-8")) == [], source.name
+
+
+def _workflow_scripts(text: str) -> list[str]:
+    """The ``run:`` scripts of a workflow, each a one-line plain scalar or a
+    ``|`` block scalar, read by indentation so that no YAML parser is
+    needed: a block is the lines after its key that are blank or indented
+    past the key's column, dedented."""
+    scripts, lines, i = [], text.splitlines(), 0
+    while i < len(lines):
+        head, key, value = lines[i].partition("run:")
+        i += 1
+        if not key or head.strip() not in ("", "-"):
+            continue
+        if value.strip() != "|":
+            scripts.append(value.strip())
+            continue
+        block = []
+        while i < len(lines) and (not lines[i].strip() or len(lines[i]) - len(lines[i].lstrip()) > len(head)):
+            block.append(lines[i])
+            i += 1
+        scripts.append(textwrap.dedent("\n".join(block)))
+    return scripts
+
+
+def test_every_workflow_script_parses_as_bash():
+    # `bash -n` parses each step's script without running it.  The workflow
+    # has 17 block scripts and 3 one-line ones.
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    scripts = _workflow_scripts(workflow.read_text(encoding="utf-8"))
+    assert [len(scripts), sum("\n" in script.strip() for script in scripts)] == [20, 17]
+    assert subprocess.run(["bash", "-n"], input="if true; then\n", capture_output=True, text=True).returncode != 0
+    for script in scripts:
+        parsed = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
+        assert (parsed.returncode, parsed.stderr) == (0, ""), script
 
 
 def test_value_types_compare_and_hash_by_their_fields():
