@@ -170,17 +170,16 @@ def mex_inverse(op: Overpartition, r: int) -> Partition:
 def odd_forward(p: Partition, r: int) -> Overpartition:
     """Map a ``pe`` partition (odd r): merge the odd parts into distinct
     overlined ones, keep the even parts plain."""
-    overlined = _merge([x for x in p.parts if x % 2 == 1])
+    overlined = _merge(tuple([x for x in p.parts if x % 2 == 1]))
     plain = [x for x in p.parts if x % 2 == 0]
-    return Overpartition._trusted(tuple(overlined), tuple(plain))
+    return Overpartition._trusted(overlined, tuple(plain))
 
 
 @_checked("oddinv")
 def odd_inverse(op: Overpartition, r: int) -> Partition:
     """Inverse of :func:`odd_forward`: split the overlined parts into odd
     ones and take the union with the plain parts."""
-    parts = _split(op.overlined)
-    parts += op.plain
+    parts = [*_split(op.overlined), *op.plain]
     parts.sort(reverse=True)
     return Partition._trusted(tuple(parts))
 
@@ -189,9 +188,9 @@ def odd_inverse(op: Overpartition, r: int) -> Partition:
 def even_forward(colored: ColoredPartition, r: int) -> Overpartition:
     """Map a ``po2`` colored partition (even r): merge the first-color sizes
     into distinct overlined parts, keep the second-color sizes plain."""
-    overlined = _merge([size for size, color in colored.parts if color == 1])
+    overlined = _merge(tuple([size for size, color in colored.parts if color == 1]))
     plain = [size for size, color in colored.parts if color == 2]
-    return Overpartition._trusted(tuple(overlined), tuple(plain))
+    return Overpartition._trusted(overlined, tuple(plain))
 
 
 @_checked("eveninv")

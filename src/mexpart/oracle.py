@@ -3,9 +3,10 @@
 ``verify_counts`` checks the four-way count identity (family sizes, read
 off each family's own series, against the generating-function
 coefficients), ``verify_roundtrips`` exhaustively round-trips every
-bijection, both maps of a pair in one pass each, and ``reproduce_table``
-recomputes the six reference pairing tables that are stored as golden
-files under ``mexpart/golden/``.
+bijection, both maps of a pair in one pass each, the inverse's pass over
+only the codomain objects the forward pass left unverified, and
+``reproduce_table`` recomputes the six reference pairing tables that are
+stored as golden files under ``mexpart/golden/``.
 Failures accumulate in the report instead of aborting, so one run surfaces
 every discrepancy.
 
@@ -120,10 +121,16 @@ def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
 
     The maps run by pair (:func:`_pairs`), a forward map and then its
     inverse, each direction through :func:`_round_trip`.  Each codomain is
-    enumerated once per (n, r) and each pair's domain once per pair.  The
-    inverse pass skips the images the forward pass verified, so on a
-    passing run each map is called once per object; the report is check for
-    check the one that two separate passes, one per map, would give.
+    enumerated and hashed once per (n, r), as a dict from each object to
+    False, and each pair's domain is enumerated once per pair.  The forward
+    pass marks True, in the pair's copy of that dict, each codomain object
+    it verified; the inverse pass runs on the objects left unmarked, in
+    enumeration order.  A marked object and its source have each been sent
+    to the other by both maps, and the source came from its family's
+    enumeration, so the marked object's own round trip would pass.  So the
+    report is check for check the one that two separate passes, one per
+    map, would give, and on a passing run each map is called once per
+    object and the inverse pass is empty.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")
@@ -134,37 +141,31 @@ def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
             codomains = {}
             for map_id, domain, codomain in _pairs(r):
                 if codomain not in codomains:
-                    codomains[codomain] = enumerate_family(codomain, n)
-                images = codomains[codomain]
-                verified = dict.fromkeys(images, False)
-                _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, {}, verified)
-                _round_trip(checks, params, INVERSE[map_id], images, domain, r, verified, {})
+                    codomains[codomain] = dict.fromkeys(enumerate_family(codomain, n), False)
+                verified = codomains[codomain].copy()
+                _round_trip(checks, params, map_id, enumerate_family(domain, n), codomain, r, verified)
+                unverified = [b for b, done in verified.items() if not done]
+                _round_trip(checks, params, INVERSE[map_id], unverified, domain, r, {})
     return VerificationReport(tuple(checks))
 
 
-def _round_trip(checks, params, map_id, sources, codomain, r, known, verified) -> None:
+def _round_trip(checks, params, map_id, sources, codomain, r, verified) -> None:
     """Append the two checks of map ``map_id`` over ``sources``, and mark
     True in ``verified`` each image it verifies.
 
     Both maps are called through ``MAPS``, each with its own domain check.
-    Each source ``a`` that ``known`` does not mark is mapped to ``b`` and
-    the inverse is called on ``b``: the pair is verified when the inverse
-    returns ``a``.  The inverse's check is the test that ``b`` lies in
-    ``codomain``, so only when the inverse refuses ``b`` is
-    ``is_member(codomain, b)`` asked whether the image or the inverse is at
-    fault.  ``known`` marks the images the inverse's own pass verified: for
-    such a source, both maps are known to send one object to the other, and
-    the other object came from its family's enumeration, so there is
-    nothing left to test.  The keys of ``verified`` are the enumerated
-    codomain, so an image, once marked, is freed.  A source that the map
-    refuses has no image: it counts as a failed round trip, not as an image
-    outside the codomain.
+    Each source ``a`` is mapped to ``b`` and the inverse is called on
+    ``b``: the pair is verified when the inverse returns ``a``.  The
+    inverse's check is the test that ``b`` lies in ``codomain``, so only
+    when the inverse refuses ``b`` is ``is_member(codomain, b)`` asked
+    whether the image or the inverse is at fault.  The keys of ``verified``
+    are the enumerated codomain, so an image, once marked, is freed.  A
+    source that the map refuses has no image: it counts as a failed round
+    trip, not as an image outside the codomain.
     """
     forward, inverse = MAPS[map_id], MAPS[INVERSE[map_id]]
     bad_image = bad_identity = 0
     for a in sources:
-        if known.get(a):
-            continue
         b = None
         try:
             b = forward(a, r)

@@ -766,6 +766,25 @@ def test_map_bounds_the_length_of_every_line():
         assert run(argv, stdin) == (2, "~1\n", refused)
 
 
+def _map_with_peak(argv: list[str], stdin: str):
+    """Run ``mexpart map`` with ``argv`` on ``stdin`` in a child process:
+    its exit code, stdout, stderr lines and peak resident memory in KiB
+    (VmHWM)."""
+    script = (
+        "import sys\n"
+        "from mexpart.cli import main\n"
+        f"sys.argv = ['mexpart', 'map', *{argv!r}]\n"
+        "code = main()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], input=stdin.encode(), capture_output=True, env=_env(),
+                          timeout=60)
+    *messages, peak_kib = proc.stderr.decode().splitlines()
+    return proc.returncode, proc.stdout.decode(), messages, int(peak_kib)
+
+
 def test_map_refuses_a_long_line_before_it_holds_it():
     # A 4 MB line of 2,000,000 `1`s was read and parsed whole before its
     # weight was refused, at a 70-73 MB peak.  Now the command reads at most
@@ -773,27 +792,28 @@ def test_map_refuses_a_long_line_before_it_holds_it():
     # one-line run did (VmHWM of each child, three runs each, x86-64,
     # CPython 3.11).  The bound is 4 MiB above the one-line run: less than
     # the line itself, held whole.
-    script = (
-        "import sys\n"
-        "from mexpart.cli import main\n"
-        "sys.argv = ['mexpart', 'map', '--bijection', 'odd', '--r', '1']\n"
-        "code = main()\n"
-        "with open('/proc/self/status') as status:\n"
-        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-
-    def command(stdin: str):
-        proc = subprocess.run([sys.executable, "-c", script], input=stdin.encode(), capture_output=True, env=_env(),
-                              timeout=60)
-        *messages, peak_kib = proc.stderr.decode().splitlines()
-        return proc.returncode, proc.stdout.decode(), messages, int(peak_kib)
-
-    code, out, messages, quiet = command("1\n")
+    argv = ["--bijection", "odd", "--r", "1"]
+    code, out, messages, quiet = _map_with_peak(argv, "1\n")
     assert (code, out, messages) == (0, "~1\n", [])
-    code, out, messages, peak = command(" ".join(["1"] * 2_000_000) + "\n")
+    code, out, messages, peak = _map_with_peak(argv, " ".join(["1"] * 2_000_000) + "\n")
     assert (code, out) == (2, "")
     assert messages == [f"error: line 1: an input line must be at most {cli.MAX_LINE} characters long"]
+    assert peak - quiet < 4096, (quiet, peak)
+
+
+def test_map_holds_no_conjugate_near_the_weight_ceiling():
+    # The kernel memos store no component above KERNEL_MEMO_WEIGHT.  Each
+    # line `~w` conjugates to w parts of size 1, a 400 kB tuple at w near
+    # MAX_DEGREE: 40 of them held would add 16 MB to the peak, and a full
+    # memo of 1024 about 400 MB.  The bound is 4 MiB above a one-line run.
+    argv = ["--bijection", "t5inv", "--r", "1"]
+    weights = [cli.MAX_DEGREE - k for k in range(40)]
+    code, out, messages, quiet = _map_with_peak(argv, f"~{weights[0]}\n")
+    assert (code, messages) == (0, [])
+    assert out == " ".join(["1"] * weights[0]) + "\n"
+    code, out, messages, peak = _map_with_peak(argv, "".join(f"~{w}\n" for w in weights))
+    assert (code, messages) == (0, [])
+    assert out.splitlines() == [" ".join(["1"] * w) for w in weights]
     assert peak - quiet < 4096, (quiet, peak)
 
 

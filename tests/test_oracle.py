@@ -208,25 +208,50 @@ class TestVerifyRoundtrips:
         ]
 
     def test_the_inverse_pass_holds_no_image(self, monkeypatch):
-        # What the forward pass verified reaches the inverse pass keyed by
-        # the enumerated codomain objects that pass iterates, so no image
-        # the forward map built outlives its own round trip.
+        # The inverse pass runs on enumerated codomain objects only, the
+        # very objects in enumeration order: exactly those the forward pass
+        # did not verify, none on a passing run and some under a fault.  The
+        # forward pass's marks are keyed by the same objects, so no image
+        # the forward map built outlives its pass.
+        enumerated = {}
+        enumerate_family = oracle.enumerate_family
+
+        def enumerating(family, n):
+            enumerated[family, n] = enumerate_family(family, n)
+            return enumerated[family, n]
+
         passes = []
         round_trip = oracle._round_trip
-        inverses = {inverse for _, (inverse, _, _) in bijections._PAIRS}
 
-        def recording(checks, params, map_id, sources, codomain, r, known, *rest):
-            if map_id in inverses:
-                passes.append((map_id, sources, known))
-            return round_trip(checks, params, map_id, sources, codomain, r, known, *rest)
+        def recording(checks, params, map_id, sources, codomain, r, verified):
+            round_trip(checks, params, map_id, sources, codomain, r, verified)
+            passes.append((map_id, int(params.split()[0][2:]), sources, codomain, r, verified))
 
+        def unverified():
+            passes.clear()
+            report = verify_roundtrips(8, 3)
+            inverses = {inverse for _, (inverse, _, _) in bijections._PAIRS}
+            assert [map_id in inverses for map_id, *_ in passes] == [False, True] * (len(passes) // 2)
+            assert {map_id for map_id, *_ in passes[1::2]} == inverses
+            maps = set()
+            for (map_id, n, domain, codomain, r, verified), (*_, sources, _, _, _) in zip(passes[::2], passes[1::2]):
+                objects = enumerated[codomain, n]
+                assert [id(key) for key in verified] == [id(b) for b in objects], map_id
+                forward, inverse = bijections.MAPS[map_id], bijections.MAPS[bijections.INVERSE[map_id]]
+                images = [forward(a, r) for a in domain]
+                verified_images = {b for a, b in zip(domain, images) if inverse(b, r) == a}
+                expected = [b for b in objects if b not in verified_images]
+                assert [id(b) for b in sources] == [id(b) for b in expected], map_id
+                if sources:
+                    maps.add(map_id)
+            return report.overall, maps
+
+        monkeypatch.setattr(oracle, "enumerate_family", enumerating)
         monkeypatch.setattr(oracle, "_round_trip", recording)
-        assert verify_roundtrips(8, 3).overall
-        assert {map_id for map_id, _, _ in passes} == inverses
-        for map_id, sources, known in passes:
-            enumerated = {id(obj) for obj in sources}
-            assert [key for key in known if id(key) not in enumerated] == [], map_id
-        assert any(known for _, _, known in passes)
+        assert unverified() == (True, set())
+        oddinv = bijections.odd_inverse
+        monkeypatch.setitem(bijections.MAPS, "oddinv", lambda op, r: Partition(oddinv(op, r).parts[len(op.plain) == 1:]))
+        assert unverified() == (False, {"odd"})
 
     def test_each_domain_is_enumerated_once(self, monkeypatch):
         calls = Counter()

@@ -4,12 +4,20 @@ Each ``from_text`` converts its tokens through an ``lru_cache`` keyed by the
 token string.  A line must get the same object or the same message whether
 its tokens are cached or not, and a near miss such as ``01`` must still be
 refused after its canonical form ``1`` has been cached.
+
+The maps' kernel memos are held to the same rules: every answer is the
+kernel's own, cold, warm or from a reverse entry, and each memo is bounded
+in entries and in the weight of what it stores.
 """
+
+import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mexpart import ColoredPartition, Overpartition, Partition, partitions
+from mexpart import ColoredPartition, Family, Overpartition, Partition, bijections, enumerate_family, partitions
 
 MEMOS = (partitions._size_token, partitions._overpartition_token, partitions._colored_token)
 
@@ -96,3 +104,171 @@ def test_memo_holds_at_most_its_bound(parse, memo, token):
     for k in range(1, size + 50):
         parse(token(k))
     assert memo.cache_info().currsize == size
+
+
+# The kernel memos: conjugation, and Glaisher's merge and split, each stored
+# both ways.  Each kernel with the test of its domain and its own memo;
+# ``__wrapped__`` is the kernel's plain computation.
+KERNELS = {
+    "conjugate": (partitions._conjugate, lambda parts: True, partitions._CONJUGATES),
+    "merge": (partitions._merge, lambda parts: all(part % 2 for part in parts), partitions._MERGES),
+    "split": (partitions._split, lambda parts: len(set(parts)) == len(parts), partitions._SPLITS),
+}
+KERNEL_MEMOS = (partitions._CONJUGATES, partitions._MERGES, partitions._SPLITS)
+INVERSES = {"conjugate": "conjugate", "merge": "split", "split": "merge"}
+
+
+def _clear_kernels():
+    for memo in KERNEL_MEMOS:
+        memo.clear()
+
+
+def _components(name, max_weight=20):
+    """Every component of kernel ``name``'s domain up to ``max_weight``."""
+    in_domain = KERNELS[name][1]
+    return [p.parts for n in range(max_weight + 1) for p in enumerate_family(Family("p"), n) if in_domain(p.parts)]
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_memo_gives_the_plain_result_cold_warm_and_reversed(name):
+    kernel = KERNELS[name][0]
+    inverse, _, inverse_memo = KERNELS[INVERSES[name]]
+    components = _components(name)
+    plain = [kernel.__wrapped__(parts) for parts in components]
+    cold = []
+    for parts in components:
+        _clear_kernels()
+        cold.append(kernel(parts))
+    assert cold == plain
+    _clear_kernels()
+    assert [kernel(parts) for parts in components] == plain
+    assert [kernel(parts) for parts in components] == plain
+    for parts, image in zip(components, plain):
+        _clear_kernels()
+        kernel(parts)
+        # the inverse answers from the entry stored in reverse
+        assert inverse_memo[image] == parts
+        assert inverse(image) == parts == inverse.__wrapped__(image)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_every_kernel_returns_a_tuple(name):
+    kernel = KERNELS[name][0]
+    _clear_kernels()
+    for parts in _components(name, 8) + [(partitions.KERNEL_MEMO_WEIGHT + 1,)]:
+        assert type(kernel(parts)) is tuple
+        assert type(kernel(parts)) is tuple
+
+
+def test_kernel_memos_hold_at_most_their_bound():
+    _clear_kernels()
+    for parts in _components("conjugate", 24):  # 7,338 partitions
+        partitions._conjugate(parts)
+        if all(part % 2 for part in parts):
+            partitions._merge(parts)
+        if len(set(parts)) == len(parts):
+            partitions._split(parts)
+        assert all(len(memo) <= partitions.TOKEN_MEMO_SIZE for memo in KERNEL_MEMOS)
+    assert all(len(memo) > partitions.TOKEN_MEMO_SIZE // 2 for memo in KERNEL_MEMOS)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_a_component_above_the_weight_cap_is_not_stored(name):
+    kernel = KERNELS[name][0]
+    cap = partitions.KERNEL_MEMO_WEIGHT
+    at_cap, above = ((1,) * cap, (1,) * (cap + 1)) if name == "merge" else ((cap - 1, 1), (cap, 1))
+    _clear_kernels()
+    kernel(at_cap)
+    assert sum(map(len, KERNEL_MEMOS)) == 2
+    _clear_kernels()
+    kernel(above)
+    assert sum(map(len, KERNEL_MEMOS)) == 0
+
+
+@pytest.mark.parametrize(
+    "name,outside,image,inside,its_image",
+    [
+        # (1, 2) does not descend: its conjugate (2, 2) conjugates to itself
+        ("conjugate", (1, 2), (2, 2), (3, 1), (2, 1, 1)),
+        # a zero part: (2, 0) conjugates to (1, 1), which conjugates to (2,)
+        ("conjugate", (2, 0), (1, 1), (2,), (1, 1)),
+        # an even part: (2, 1, 1) merges to (2, 2), which splits to four 1s
+        ("merge", (2, 1, 1), (2, 2), (1, 1, 1, 1), (4,)),
+        # a repeated part: (2, 2) splits to four 1s, which merge to (4,)
+        ("split", (2, 2), (1, 1, 1, 1), (4,), (1, 1, 1, 1)),
+    ],
+)
+def test_an_input_outside_the_domain_stores_no_reverse_entry(name, outside, image, inside, its_image):
+    kernel = KERNELS[name][0]
+    inverse, _, inverse_memo = KERNELS[INVERSES[name]]
+    _clear_kernels()
+    assert kernel(outside) == image
+    assert image not in inverse_memo
+    assert inverse(image) == inverse.__wrapped__(image) != outside
+    assert kernel(inside) == its_image
+    assert inverse(its_image) == inside
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_only_an_input_in_the_domain_is_stored(name):
+    # Every tuple of up to 4 parts from 1..4, in any order: the memo stores
+    # exactly the descending ones in the kernel's domain, and answers as
+    # the plain kernel does.
+    kernel, in_domain, memo = KERNELS[name]
+    for length in range(5):
+        for parts in itertools.product(range(1, 5), repeat=length):
+            _clear_kernels()
+            assert kernel(parts) == kernel.__wrapped__(parts)
+            assert (parts in memo) == (list(parts) == sorted(parts, reverse=True) and in_domain(parts)), parts
+
+
+def _round_trips(max_n):
+    """(object, image, image's inverse) as text for every object of both
+    families of the t5, odd and even pairs at r <= 4 and n <= ``max_n``,
+    from each side."""
+    rows = []
+    for r in range(1, 5):
+        for map_id in bijections.MAPS:
+            try:
+                domain, _ = bijections.map_families(map_id, r)
+            except ValueError:
+                continue
+            forward, inverse = bijections.MAPS[map_id], bijections.MAPS[bijections.INVERSE[map_id]]
+            for n in range(max_n + 1):
+                for obj in enumerate_family(domain, n):
+                    image = forward(obj, r)
+                    rows.append((obj.text(), image.text(), inverse(image, r).text()))
+    return rows
+
+
+def test_kernel_memos_are_safe_in_threads(monkeypatch):
+    # Four threads share the memos, shrunk so that they are emptied often
+    # while the others read and store; every thread must see the round
+    # trips of a single-thread run, and no memo may pass its bound.
+    _clear_kernels()
+    expected = _round_trips(14)
+    assert all(obj == back for obj, _, back in expected)
+    monkeypatch.setattr(partitions, "TOKEN_MEMO_SIZE", 64)
+    _clear_kernels()
+    results, errors = [None] * 4, []
+
+    def work(k):
+        try:
+            results[k] = _round_trips(14)
+        except Exception as exc:  # reported below, with the thread's number
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(rows == expected for rows in results)
+    assert all(len(memo) <= 64 for memo in KERNEL_MEMOS)
