@@ -64,10 +64,8 @@ DEGREE_ENV_VAR = "MEX_DEFAULT_DEGREE"
 # The maps from obar can build an image far larger than their input: at
 # r = 1, t5inv sends the 9-byte line `~1048576` to 1,048,576 parts (2 MB of
 # output, about a 100 MB peak).  At the limit a map writes at most about
-# 130 kB and peaks at 17-20 MB (ru_maxrss, one line of `t5inv`, `oddinv`,
-# `eveninv` or `even`), and 40 lines of `t5inv` peak less than 1 MB above
-# one, since the kernel memos hold no component that heavy.  The check costs
-# about 0.2 us a line.
+# 130 kB and peaks at 17-20 MB, and 40 such lines no higher.  The check
+# costs about 0.2 us a line.
 MAX_DEGREE = 50_000
 # The most characters of a `map` input line before its newline: the longest
 # canonical line of weight MAX_DEGREE, MAX_DEGREE copies of `1_1`.  A longer
@@ -81,11 +79,10 @@ MAX_LINE = 4 * MAX_DEGREE - 1
 # of it interpreter start (`count` reads one coefficient of the family's
 # series and builds no member; the `pmex` series to degree 42 takes
 # 0.09-0.29 ms in process, growing with r up to r = 42), and `verify
-# --max-n 32 --max-r 16` 3.5-4.3 s at 20 MB, against 2.8-3.7 s for
+# --max-n 32 --max-r 16` 3.3-3.9 s at 20 MB, against 2.6-2.7 s for
 # `--max-r 8`, the acceptance size, nearly all of it the round trips
 # (minimum and median of 6 runs, each pinned to one CPU, peak resident
-# memory from ru_maxrss; without the kernel memos of `partitions`, the
-# same host took 4.2-5.0 s and 3.2-3.7 s).
+# memory from ru_maxrss).
 # Unbounded, `verify --max-n 2 --max-r 20000` ran for 25 s at 150 MB.
 MAX_N = 42
 MAX_VERIFY_N = 32

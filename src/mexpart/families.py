@@ -53,7 +53,7 @@ from operator import add, itemgetter, sub
 
 from .partitions import _UNBOUNDED, Partition, _Record, _descending, _require_int, _set, _tokens
 from .partitions import _colored_arguments, _colored_token, _mex_and_run, _overpartition_arguments
-from .partitions import _ODD, _Parts, _overpartition_token, _refuse, _run_at_least
+from .partitions import _Parts, _overpartition_token, _refuse, _run_at_least
 
 __all__ = [
     "ColoredPartition",
@@ -189,6 +189,9 @@ class ColoredPartition(_Parts):
 
 
 _SIZE, _COLOR = itemgetter(0), itemgetter(1)
+
+
+_ODD = (1).__and__  # x & 1, bound once, not per call
 
 
 def _in_obar(obj, r: int) -> bool:

@@ -125,12 +125,16 @@ def verify_roundtrips(max_n: int, max_r: int) -> VerificationReport:
     False, and each pair's domain is enumerated once per pair.  The forward
     pass marks True, in the pair's copy of that dict, each codomain object
     it verified; the inverse pass runs on the objects left unmarked, in
-    enumeration order.  A marked object and its source have each been sent
-    to the other by both maps, and the source came from its family's
-    enumeration, so the marked object's own round trip would pass.  So the
-    report is check for check the one that two separate passes, one per
-    map, would give, and on a passing run each map is called once per
-    object and the inverse pass is empty.
+    enumeration order, without hashing any of them again.  A marked object
+    and its source have each been sent to the other by both maps, and the
+    source came from its family's enumeration, so the marked object's own
+    round trip would pass.  So, for an enumeration that lists each object
+    once, the report is check for check the one that two separate passes,
+    one per map, would give, and on a passing run each map is called once
+    per object and the inverse pass is empty.  The dict keeps one key per
+    object: an object that a faulty enumeration lists twice and the forward
+    pass leaves unmarked fails the inverse pass once, not twice, and so
+    still fails the report.
     """
     _require_int(max_n, 0, "max_n")
     _require_int(max_r, 1, "max_r")

@@ -6,10 +6,10 @@ and every operation is a pure function, so concurrent use is safe.
 
 The kernels of conjugation and of Glaisher's merge and split, which the
 bijections call on every object, go through bounded memos shared by every
-caller (``_memoized``).  Each result is stored both ways, so the inverse
-half of a round trip is one lookup.  A memo answer is always the kernel's
-own, and no memo is left above its bound by concurrent stores, so the memos
-keep concurrent use safe.
+caller (``_memoized``), so a component that recurs, at another r or in
+another map, is computed once.  Each memo is a ``functools.lru_cache`` that
+holds only its own kernel's results, so a memo answer is the kernel's own
+and concurrent use stays safe.
 
 The printer is the textual grammar of every object type: ``from_text``
 accepts a line iff it is exactly how the object it reads as prints.  That
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache, wraps
-from operator import add, ge, gt
+from operator import add
 
 __all__ = [
     "INFINITE",
@@ -205,82 +205,36 @@ def _colored_token(token: str) -> tuple[int, int] | None:
     return odd, int(color)
 
 
-# The largest weight of a component that the kernel memos below store.  A
-# memo pays only while it can hold the components that recur: there are 904
-# partitions of weight at most 25 into distinct parts, and as many into odd
-# parts, but 1069 up to 26, more than a memo holds.  Heavier components are
-# too many to be held, so a stream of them (``map`` over the objects of
-# weight 34) would only churn a memo, and one near the weight ceiling of
-# ``map`` (50000, whose conjugate may have 50000 parts) is never held.
-# Every component of ``verify_roundtrips(22, 5)`` is stored.
-KERNEL_MEMO_WEIGHT = 25
+# The largest weight of a component that the kernel memos below store.  It
+# trades hits for memory: up to 17 there are 207 partitions into distinct
+# parts, as many into odd parts and as many without gaps, the components
+# the maps pass, so each memo can hold them all, and 80% of the kernel calls
+# of ``verify_roundtrips(22, 5)`` are answered from a memo, at about 0.2 MB
+# of peak memory; a cap of 25 answered 95% at 0.57 MB.  A stream of heavier
+# components (``map`` over the objects of weight 34) would only churn a
+# memo, and one near the weight ceiling of ``map`` (50000, whose conjugate
+# may have 50000 parts) is never held.
+KERNEL_MEMO_WEIGHT = 17
 
 
-def _memoized(in_domain, memo: dict, inverse: dict):
-    """Decorator: the kernel behind ``memo``, for two kernels that invert
-    each other on their domains, ``inverse`` being the other's memo.
+def _memoized(kernel):
+    """Decorator: ``kernel`` behind its own ``lru_cache`` of
+    ``TOKEN_MEMO_SIZE`` entries, for the inputs that weigh at most
+    ``KERNEL_MEMO_WEIGHT``; a heavier input is computed and not stored.
+    Each memo holds only what its own kernel computed for that very input,
+    so a memo answer is the kernel's own, cold or warm, and no memo answers
+    for another kernel: the inverse of a result is computed by the inverse
+    kernel, or found among that kernel's own results.
+    ``__wrapped__`` is the plain kernel, ``cache_info`` and ``cache_clear``
+    the memo's."""
+    memo = lru_cache(maxsize=TOKEN_MEMO_SIZE)(kernel)
 
-    On a miss the kernel runs, and when its input weighs at most
-    ``KERNEL_MEMO_WEIGHT`` and ``in_domain(parts, out, weight)`` holds, the
-    result is stored both ways: under the input in ``memo`` and the input
-    under the result in ``inverse``, so the other kernel answers from a
-    lookup.  Outside the domain the other kernel need not give the input
-    back (``_merge((2, 1, 1))`` is ``(2, 2)``, whose split is four 1s), so
-    nothing is stored.  Every answer is the kernel's own, with the memo
-    cold or warm.  A memo that passes ``TOKEN_MEMO_SIZE`` entries is
-    emptied.  Each store and each check of the bound is one atomic dict
-    operation, and every store is followed by its own check, so threads
-    that store at once never leave a memo above its bound.
-    """
+    @wraps(kernel)
+    def memoized(parts: tuple[int, ...]) -> tuple[int, ...]:
+        return memo(parts) if sum(parts) <= KERNEL_MEMO_WEIGHT else kernel(parts)
 
-    def decorate(kernel):
-        @wraps(kernel)
-        def memoized(parts: tuple[int, ...]) -> tuple[int, ...]:
-            out = memo.get(parts)
-            if out is None:
-                out = kernel(parts)
-                weight = sum(parts)
-                if weight <= KERNEL_MEMO_WEIGHT and in_domain(parts, out, weight):
-                    memo[parts] = out
-                    inverse[out] = parts
-                    if len(memo) > TOKEN_MEMO_SIZE:
-                        memo.clear()
-                    if len(inverse) > TOKEN_MEMO_SIZE:
-                        inverse.clear()
-            return out
-
-        return memoized
-
-    return decorate
-
-
-_ODD = (1).__and__  # x & 1, bound once, not per call
-
-
-def _is_partition(parts: tuple, out: tuple, weight: int) -> bool:
-    """True iff ``parts``, of weight ``weight``, descends and its parts are
-    positive.  Its conjugate ``out``, as the kernel reads it off any tuple,
-    weighs the sum over i of max(0, *parts[i:]): at least ``weight``, and
-    equal to it iff every part is the largest of those from it on, so one
-    sum of ``out`` replaces a scan of neighbouring parts."""
-    return sum(out) == weight and (not parts or parts[-1] > 0)
-
-
-def _is_odd_partition(parts: tuple, out: tuple, weight: int) -> bool:
-    """True iff ``parts`` descends and its parts are odd and positive."""
-    return all(map(ge, parts, parts[1:])) and (not parts or parts[-1] > 0) and all(map(_ODD, parts))
-
-
-def _is_distinct_partition(parts: tuple, out: tuple, weight: int) -> bool:
-    """True iff ``parts`` strictly descends and its parts are positive."""
-    return all(map(gt, parts, parts[1:])) and (not parts or parts[-1] > 0)
-
-
-# Conjugation is its own inverse, so one memo serves both directions.
-_CONJUGATES: dict = {}
-# The merge of each odd-part tuple and the split of each distinct-part one.
-_MERGES: dict = {}
-_SPLITS: dict = {}
+    memoized.cache_info, memoized.cache_clear = memo.cache_info, memo.cache_clear
+    return memoized
 
 
 def _tokens(line: str) -> list[str]:
@@ -439,7 +393,7 @@ def conjugate(p: Partition) -> Partition:
     return Partition._trusted(_conjugate(p.parts))
 
 
-@_memoized(_is_partition, _CONJUGATES, _CONJUGATES)
+@_memoized
 def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     """The parts of :func:`conjugate` for descending ``parts``.
 
@@ -483,7 +437,7 @@ def glaisher_split(p: Partition) -> Partition:
     """
     if len(set(p.parts)) != len(p.parts):
         raise ValueError("glaisher_split needs pairwise distinct parts")
-    return Partition._trusted(_split(p.parts))
+    return Partition._trusted(tuple(sorted(_split(p.parts), reverse=True)))
 
 
 def glaisher_merge(p: Partition) -> Partition:
@@ -497,9 +451,9 @@ def glaisher_merge(p: Partition) -> Partition:
     return Partition._trusted(_merge(p.parts))
 
 
-@_memoized(_is_distinct_partition, _SPLITS, _MERGES)
+@_memoized
 def _split(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The parts of :func:`glaisher_split`, unchecked, descending."""
+    """The parts of :func:`glaisher_split`, unchecked and unsorted."""
     out = []
     for part in parts:
         copies = 1
@@ -507,11 +461,10 @@ def _split(parts: tuple[int, ...]) -> tuple[int, ...]:
             part //= 2
             copies *= 2
         out.extend([part] * copies)
-    out.sort(reverse=True)
     return tuple(out)
 
 
-@_memoized(_is_odd_partition, _MERGES, _SPLITS)
+@_memoized
 def _merge(parts: tuple[int, ...]) -> tuple[int, ...]:
     """The parts of :func:`glaisher_merge`, unchecked, descending."""
     counts: dict[int, int] = {}

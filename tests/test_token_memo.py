@@ -6,8 +6,8 @@ its tokens are cached or not, and a near miss such as ``01`` must still be
 refused after its canonical form ``1`` has been cached.
 
 The maps' kernel memos are held to the same rules: every answer is the
-kernel's own, cold, warm or from a reverse entry, and each memo is bounded
-in entries and in the weight of what it stores.
+kernel's own, cold or warm, no memo answers for another kernel, and each
+memo is bounded in entries and in the weight of what it stores.
 """
 
 import itertools
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexpart import ColoredPartition, Family, Overpartition, Partition, bijections, enumerate_family, partitions
+from mexpart.oracle import verify_roundtrips
 
 MEMOS = (partitions._size_token, partitions._overpartition_token, partitions._colored_token)
 
@@ -106,21 +107,24 @@ def test_memo_holds_at_most_its_bound(parse, memo, token):
     assert memo.cache_info().currsize == size
 
 
-# The kernel memos: conjugation, and Glaisher's merge and split, each stored
-# both ways.  Each kernel with the test of its domain and its own memo;
-# ``__wrapped__`` is the kernel's plain computation.
+# The kernel memos: conjugation, and Glaisher's merge and split.  Each
+# kernel with the test of its domain; ``__wrapped__`` is the kernel's plain
+# computation.
 KERNELS = {
-    "conjugate": (partitions._conjugate, lambda parts: True, partitions._CONJUGATES),
-    "merge": (partitions._merge, lambda parts: all(part % 2 for part in parts), partitions._MERGES),
-    "split": (partitions._split, lambda parts: len(set(parts)) == len(parts), partitions._SPLITS),
+    "conjugate": (partitions._conjugate, lambda parts: True),
+    "merge": (partitions._merge, lambda parts: all(part % 2 for part in parts)),
+    "split": (partitions._split, lambda parts: len(set(parts)) == len(parts)),
 }
-KERNEL_MEMOS = (partitions._CONJUGATES, partitions._MERGES, partitions._SPLITS)
 INVERSES = {"conjugate": "conjugate", "merge": "split", "split": "merge"}
 
 
 def _clear_kernels():
-    for memo in KERNEL_MEMOS:
-        memo.clear()
+    for kernel, _ in KERNELS.values():
+        kernel.cache_clear()
+
+
+def _stored():
+    return {name: kernel.cache_info().currsize for name, (kernel, _) in KERNELS.items()}
 
 
 def _components(name, max_weight=20):
@@ -130,9 +134,8 @@ def _components(name, max_weight=20):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-def test_kernel_memo_gives_the_plain_result_cold_warm_and_reversed(name):
+def test_kernel_memo_gives_the_plain_result_cold_and_warm(name):
     kernel = KERNELS[name][0]
-    inverse, _, inverse_memo = KERNELS[INVERSES[name]]
     components = _components(name)
     plain = [kernel.__wrapped__(parts) for parts in components]
     cold = []
@@ -143,12 +146,58 @@ def test_kernel_memo_gives_the_plain_result_cold_warm_and_reversed(name):
     _clear_kernels()
     assert [kernel(parts) for parts in components] == plain
     assert [kernel(parts) for parts in components] == plain
-    for parts, image in zip(components, plain):
-        _clear_kernels()
-        kernel(parts)
-        # the inverse answers from the entry stored in reverse
-        assert inverse_memo[image] == parts
-        assert inverse(image) == parts == inverse.__wrapped__(image)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_the_inverse_of_a_result_is_computed_by_the_inverse_kernel(name):
+    # A kernel stores its results in its own memo only, so the inverse
+    # half of a round trip is computed, not answered from the forward
+    # half: the inverse misses on every image it has not seen itself.
+    kernel = KERNELS[name][0]
+    inverse = KERNELS[INVERSES[name]][0]
+    components = _components(name, 16)  # 915 partitions, all held at once
+    _clear_kernels()
+    images = [kernel(parts) for parts in components]
+    assert _stored() == {other: len(components) if other == name else 0 for other in KERNELS}
+    inverse.cache_clear()
+    misses = inverse.cache_info().misses
+    # the split is unsorted
+    assert [tuple(sorted(inverse(image), reverse=True)) for image in images] == components
+    assert inverse.cache_info().misses - misses == len(set(images))
+
+
+def _swapping(kernel, a, b):
+    """``kernel``'s plain computation with its results ``a`` and ``b``
+    exchanged: a wrong kernel whose wrong results still lie in the
+    codomain."""
+
+    def swapped(parts):
+        out = kernel.__wrapped__(parts)
+        return b if out == a else a if out == b else out
+
+    return swapped
+
+
+@pytest.mark.parametrize(
+    "name,a,b,maps",
+    [
+        # the conjugates of the gap-free (2, 2, 1, 1) and (2, 1, 1, 1, 1)
+        ("_conjugate", (4, 2), (5, 1), {"t5", "t5inv"}),
+        # the merges of (1, 1, 1, 1) and (3, 1)
+        ("_merge", (4,), (3, 1), {"odd", "oddinv", "even", "eveninv"}),
+        # the splits of (4,) and (3, 1)
+        ("_split", (1, 1, 1, 1), (3, 1), {"odd", "oddinv", "even", "eveninv"}),
+    ],
+)
+def test_a_memo_does_not_vouch_for_a_faulty_kernel(monkeypatch, name, a, b, maps):
+    # Were a result stored under the inverse kernel too, the inverse half
+    # of each round trip would give back the source whatever the kernel
+    # computed, and a wrong kernel would pass.
+    kernel = getattr(partitions, name)
+    monkeypatch.setattr(bijections, name, partitions._memoized(_swapping(kernel, a, b)))
+    report = verify_roundtrips(8, 4)
+    assert not report.overall
+    assert {check.name.split(":")[0] for check in report.checks if not check.passed} == maps
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -162,14 +211,13 @@ def test_every_kernel_returns_a_tuple(name):
 
 def test_kernel_memos_hold_at_most_their_bound():
     _clear_kernels()
+    size = partitions.TOKEN_MEMO_SIZE
     for parts in _components("conjugate", 24):  # 7,338 partitions
-        partitions._conjugate(parts)
-        if all(part % 2 for part in parts):
-            partitions._merge(parts)
-        if len(set(parts)) == len(parts):
-            partitions._split(parts)
-        assert all(len(memo) <= partitions.TOKEN_MEMO_SIZE for memo in KERNEL_MEMOS)
-    assert all(len(memo) > partitions.TOKEN_MEMO_SIZE // 2 for memo in KERNEL_MEMOS)
+        for kernel, _ in KERNELS.values():
+            kernel(parts)
+        assert all(stored <= size for stored in _stored().values())
+    assert all(kernel.cache_info().maxsize == size for kernel, _ in KERNELS.values())
+    assert _stored() == dict.fromkeys(KERNELS, size)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -178,48 +226,51 @@ def test_a_component_above_the_weight_cap_is_not_stored(name):
     cap = partitions.KERNEL_MEMO_WEIGHT
     at_cap, above = ((1,) * cap, (1,) * (cap + 1)) if name == "merge" else ((cap - 1, 1), (cap, 1))
     _clear_kernels()
-    kernel(at_cap)
-    assert sum(map(len, KERNEL_MEMOS)) == 2
+    assert kernel(at_cap) == kernel.__wrapped__(at_cap)
+    assert sum(_stored().values()) == 1
     _clear_kernels()
-    kernel(above)
-    assert sum(map(len, KERNEL_MEMOS)) == 0
+    assert kernel(above) == kernel(above) == kernel.__wrapped__(above)
+    assert sum(_stored().values()) == 0
 
 
 @pytest.mark.parametrize(
-    "name,outside,image,inside,its_image",
+    "name,outside,image,back",
     [
         # (1, 2) does not descend: its conjugate (2, 2) conjugates to itself
-        ("conjugate", (1, 2), (2, 2), (3, 1), (2, 1, 1)),
+        ("conjugate", (1, 2), (2, 2), (2, 2)),
         # a zero part: (2, 0) conjugates to (1, 1), which conjugates to (2,)
-        ("conjugate", (2, 0), (1, 1), (2,), (1, 1)),
+        ("conjugate", (2, 0), (1, 1), (2,)),
         # an even part: (2, 1, 1) merges to (2, 2), which splits to four 1s
-        ("merge", (2, 1, 1), (2, 2), (1, 1, 1, 1), (4,)),
+        ("merge", (2, 1, 1), (2, 2), (1, 1, 1, 1)),
         # a repeated part: (2, 2) splits to four 1s, which merge to (4,)
-        ("split", (2, 2), (1, 1, 1, 1), (4,), (1, 1, 1, 1)),
+        ("split", (2, 2), (1, 1, 1, 1), (4,)),
     ],
 )
-def test_an_input_outside_the_domain_stores_no_reverse_entry(name, outside, image, inside, its_image):
+def test_an_input_outside_the_domain_gets_the_plain_result(name, outside, image, back):
     kernel = KERNELS[name][0]
-    inverse, _, inverse_memo = KERNELS[INVERSES[name]]
+    inverse = KERNELS[INVERSES[name]][0]
     _clear_kernels()
+    assert kernel(outside) == kernel(outside) == image
+    assert inverse(image) == inverse(image) == back
+    _clear_kernels()
+    assert inverse(image) == back
     assert kernel(outside) == image
-    assert image not in inverse_memo
-    assert inverse(image) == inverse.__wrapped__(image) != outside
-    assert kernel(inside) == its_image
-    assert inverse(its_image) == inside
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-def test_only_an_input_in_the_domain_is_stored(name):
-    # Every tuple of up to 4 parts from 1..4, in any order: the memo stores
-    # exactly the descending ones in the kernel's domain, and answers as
-    # the plain kernel does.
-    kernel, in_domain, memo = KERNELS[name]
-    for length in range(5):
-        for parts in itertools.product(range(1, 5), repeat=length):
-            _clear_kernels()
-            assert kernel(parts) == kernel.__wrapped__(parts)
-            assert (parts in memo) == (list(parts) == sorted(parts, reverse=True) and in_domain(parts)), parts
+def test_every_short_tuple_gets_the_plain_result(name):
+    # Every tuple of up to 4 parts from 1..4, in any order, in the kernel's
+    # domain or not: the memo answers as the plain kernel does, cold and
+    # warm.
+    kernel = KERNELS[name][0]
+    tuples = [parts for length in range(5) for parts in itertools.product(range(1, 5), repeat=length)]
+    plain = [kernel.__wrapped__(parts) for parts in tuples]
+    cold = []
+    for parts in tuples:
+        _clear_kernels()
+        cold.append(kernel(parts))
+    assert cold == plain
+    assert [kernel(parts) for parts in tuples] == plain
 
 
 def _round_trips(max_n):
@@ -242,14 +293,18 @@ def _round_trips(max_n):
 
 
 def test_kernel_memos_are_safe_in_threads(monkeypatch):
-    # Four threads share the memos, shrunk so that they are emptied often
-    # while the others read and store; every thread must see the round
-    # trips of a single-thread run, and no memo may pass its bound.
+    # Four threads share the memos, rebuilt at 64 entries so that they
+    # evict often while the others read and store; every thread must see
+    # the round trips of a single-thread run, and no memo may pass its
+    # bound.
     _clear_kernels()
     expected = _round_trips(14)
     assert all(obj == back for obj, _, back in expected)
     monkeypatch.setattr(partitions, "TOKEN_MEMO_SIZE", 64)
-    _clear_kernels()
+    small = {}
+    for name in ("_conjugate", "_merge", "_split"):
+        small[name] = partitions._memoized(getattr(partitions, name).__wrapped__)
+        monkeypatch.setattr(bijections, name, small[name])
     results, errors = [None] * 4, []
 
     def work(k):
@@ -271,4 +326,4 @@ def test_kernel_memos_are_safe_in_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert all(rows == expected for rows in results)
-    assert all(len(memo) <= 64 for memo in KERNEL_MEMOS)
+    assert all(memo.cache_info().currsize == 64 for memo in small.values())
